@@ -12,14 +12,7 @@ from .embb_analysis import (
     target_snr,
     threshold_snr,
 )
-from .monte_carlo import (
-    OutageEstimate,
-    SlicingSample,
-    build_trial_table,
-    estimate_embb_power,
-    estimate_joint_outage_nonorth,
-    estimate_mmtc_outage_orth,
-)
+from .monte_carlo import OutageEstimate, build_trial_table
 from .numerics import (
     RngStream,
     inv_reg_lower_gamma,

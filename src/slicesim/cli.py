@@ -30,11 +30,7 @@ import numpy as np
 
 from .channel import SystemConfig, db_to_linear
 from .embb_analysis import operating_point
-from .monte_carlo import (
-    build_trial_table,
-    estimate_joint_outage_nonorth,
-    estimate_mmtc_outage_orth,
-)
+from .monte_carlo import OutageEstimate, TrialTable, build_trial_table
 from .slicing_search import (
     max_devices,
     max_mmtc_rate_orth,
@@ -278,6 +274,15 @@ def run_embb_analytic(spec: ExperimentSpec, out: Optional[str] = None) -> str:
     return _write_csv(["L", "gamma_min", "gamma_tar", "a_B", "r_B_out"], rows, out)
 
 
+def _nonorth_stats(table: TrialTable, r_M: float, r_B: float, gamma: float) -> Tuple:
+    """(eps_B_hat, eps_M_hat, halfwidth_B, halfwidth_M) at one non-orthogonal
+    operating point of the table."""
+    mm_err, eb_err = table.nonorth_error_counts(r_M, r_B, gamma)
+    mm = OutageEstimate.from_counts(mm_err, table.cfg.M * table.cfg.trials)
+    eb = OutageEstimate.from_counts(eb_err, table.cfg.trials)
+    return eb.p_hat, mm.p_hat, eb.half_width_95, mm.half_width_95
+
+
 _OUTAGE_HEADER = [
     "mode", "L", "M", "r_M", "r_B", "gamma_tar",
     "eps_B_hat", "eps_M_hat", "halfwidth_B", "halfwidth_M",
@@ -289,28 +294,26 @@ def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
     additionally needs r_B, with gamma_tar defaulting to the average-power cap)."""
     if spec.r_M is None:
         raise ConfigError("config field 'r_M' is required for the outage command")
+    if spec.mode in ("nonorth", "both") and spec.r_B is None:
+        raise ConfigError("config field 'r_B' is required for non-orthogonal outage")
     rows = []
     for L in spec.L_values:
         cfg = _cfg_for(spec, L)
+        table = build_trial_table(cfg, workers=workers)
         if spec.mode in ("orth", "both"):
-            est = estimate_mmtc_outage_orth(cfg, spec.r_M, workers=workers)
+            est = OutageEstimate.from_counts(
+                table.mmtc_orth_error_count(spec.r_M), cfg.M * cfg.trials
+            )
             rows.append(
                 ("orth", L, cfg.M, spec.r_M, None, None,
                  None, est.p_hat, None, est.half_width_95)
             )
         if spec.mode in ("nonorth", "both"):
-            if spec.r_B is None:
-                raise ConfigError(
-                    "config field 'r_B' is required for non-orthogonal outage"
-                )
             op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
             gamma = spec.gamma_tar if spec.gamma_tar is not None else op.gamma_tar
-            mm, eb = estimate_joint_outage_nonorth(
-                cfg, spec.r_M, spec.r_B, gamma, workers=workers
-            )
             rows.append(
-                ("nonorth", L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gamma),
-                 eb.p_hat, mm.p_hat, eb.half_width_95, mm.half_width_95)
+                ("nonorth", L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gamma))
+                + _nonorth_stats(table, spec.r_M, spec.r_B, gamma)
             )
     return _write_csv(_OUTAGE_HEADER, rows, out)
 
@@ -330,23 +333,20 @@ def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
         table = build_trial_table(cfg, workers=workers)
         r_M_out = max_mmtc_rate_orth(cfg, table=table)
         if spec.mode in ("orth", "both"):
-            mm_est = estimate_mmtc_outage_orth(cfg, r_M_out, table=table)
+            mm_est = OutageEstimate.from_counts(
+                table.mmtc_orth_error_count(r_M_out), cfg.M * cfg.trials
+            )
             alphas = np.linspace(0.0, 1.0, spec.alpha_points)
-            for pt in orthogonal_region(cfg, alphas, op=op, r_M_out=r_M_out):
+            for pt in orthogonal_region(cfg, alphas, r_M_out=r_M_out):
                 rows.append(
                     ("orth", L, cfg.M, pt.alpha, None, pt.r_B, pt.r_M,
                      1.0 - op.a_B, mm_est.p_hat, 0.0, mm_est.half_width_95)
                 )
         if spec.mode in ("nonorth", "both"):
-            points = nonorthogonal_region(
-                cfg, n_points=spec.r_b_points, table=table, op=op
-            )
+            points = nonorthogonal_region(cfg, n_points=spec.r_b_points, table=table)
             for pt in points:
                 if pt.gamma_tar > 2.0**pt.r_B - 1.0:
-                    mm, eb = estimate_joint_outage_nonorth(
-                        cfg, pt.r_M, pt.r_B, pt.gamma_tar, table=table
-                    )
-                    stats = (eb.p_hat, mm.p_hat, eb.half_width_95, mm.half_width_95)
+                    stats = _nonorth_stats(table, pt.r_M, pt.r_B, pt.gamma_tar)
                 else:
                     # degenerate grid endpoint (r_B at the outage rate): the
                     # accepted rate is 0, where both error probabilities vanish

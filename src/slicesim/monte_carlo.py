@@ -1,9 +1,9 @@
 """Monte Carlo outage estimation over independent channel realizations.
 
 Every trial owns a keyed random stream, so estimates are bit-identical
-across runs, execution orders, and worker counts, and different operating
-points are compared on common random numbers (the channel draws depend
-only on the scenario and seed, never on the rates under test).
+across runs, execution orders, chunkings and worker counts, and different
+operating points are compared on common random numbers (the channel draws
+depend only on the scenario and seed, never on the rates under test).
 
 The engine exploits that split: `build_trial_table` draws all realizations
 once and reduces each to the per-trial statistics that the MRC-SIC
@@ -12,37 +12,28 @@ magnitudes, broadband coupling terms). Evaluating an operating point is
 then a vectorized replay over all trials, milliseconds instead of a fresh
 simulation, which is what makes the outer rate searches affordable.
 
-`sample_orth_trial` / `sample_nonorth_trial` run the same trials through
-the readable per-realization decoders in `sic_decoder`; the test suite
-checks exact agreement between the two routes.
+`TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
+are the evaluation API: they return error counts, and
+`OutageEstimate.from_counts` turns a count into an estimate with its
+Wilson half-width. With M = 0 the table holds only the broadband received
+powers `d`, which is all the truncated-inversion analysis needs. The
+per-realization decoders in `sic_decoder` are the reference; the test suite
+checks exact, count-level agreement between the two routes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .channel import SystemConfig, draw_realization
+from .channel import SystemConfig
 from .numerics import _normals_from_uniforms, keyed_uniforms
-from .sic_decoder import DecodeOutcome, decode_non_orthogonal, decode_orthogonal
 
-__all__ = [
-    "OutageEstimate",
-    "SlicingSample",
-    "TrialTable",
-    "build_trial_table",
-    "embb_channel_gains",
-    "estimate_mmtc_outage_orth",
-    "estimate_joint_outage_nonorth",
-    "estimate_embb_power",
-    "estimate_embb_truncation_outage",
-    "sample_orth_trial",
-    "sample_nonorth_trial",
-]
+__all__ = ["OutageEstimate", "TrialTable", "build_trial_table"]
 
 _Z95 = 1.959963984540054
 
@@ -75,17 +66,6 @@ class OutageEstimate:
         return cls(p_hat=p, trials=n, half_width_95=wilson_half_width(p, n))
 
 
-@dataclass(frozen=True, eq=False)
-class SlicingSample:
-    """One trial pushed through the reference decoder: outcome plus the
-    realized broadband transmit power and transmit decision."""
-
-    trial_index: int
-    outcome: DecodeOutcome
-    P_B: float
-    embb_transmitted: bool
-
-
 class TrialTable:
     """Per-trial MRC-SIC statistics, all in SIC order (strongest first).
 
@@ -112,27 +92,40 @@ class TrialTable:
             np.minimum.accumulate(sigma_no_b, axis=1) if cfg.M else sigma_no_b
         )
 
-    @property
-    def trials(self) -> int:
-        return self.cfg.trials
-
     def mmtc_orth_error_count(self, r_M: float) -> int:
-        """Device-slot failures under orthogonal stop-on-failure decoding.
+        """Device-slot failures, out of M * trials, under orthogonal
+        stop-on-failure decoding.
 
         The decoded set in a trial is the longest prefix of the SIC order
         whose SINRs all reach the threshold, so the count only needs the
         running minimum of the no-broadband SINR chain.
         """
+        if self.cfg.M < 1:
+            raise ValueError("mMTC outage needs at least one MTC device (M >= 1)")
+        if r_M < 0:
+            raise ValueError(f"r_M must be nonnegative, got {r_M}")
         thr = 2.0**r_M - 1.0
         decoded = int((self.prefix_min >= thr).sum())
         return self.cfg.M * self.cfg.trials - decoded
 
     def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float):
-        """(mMTC device-slot failures, broadband decode failures) under the
-        interleaved procedure with inverted broadband power gamma_tar / d."""
+        """(mMTC device-slot failures out of M * trials, broadband decode
+        failures out of trials) under the interleaved procedure.
+
+        The broadband device is conservatively always active: per trial it
+        transmits at gamma_tar / ||g_B||^2 with no truncation, so its error
+        is purely a decoding error. Requires gamma_tar > 2^r_B - 1, otherwise
+        even the interference-free attempt could never succeed.
+        """
+        cfg = self.cfg
+        if cfg.M < 1:
+            raise ValueError("joint outage needs at least one MTC device (M >= 1)")
+        if r_M < 0 or r_B < 0:
+            raise ValueError("rates must be nonnegative")
         thr_M = 2.0**r_M - 1.0
         thr_B = 2.0**r_B - 1.0
-        cfg = self.cfg
+        if not gamma_tar > thr_B:
+            raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
         T, M = cfg.trials, cfg.M
         P_B = gamma_tar / self.d
         n_dec = np.zeros(T, dtype=np.int64)
@@ -165,8 +158,9 @@ class TrialTable:
 
 
 def _chunk_size(M: int) -> int:
-    # keep the per-chunk (chunk, M, M) Gram block around 30 MB
-    return max(256, min(16384, 4_000_000 // max(M * M, 1)))
+    # keep the per-chunk (chunk, M, M) complex Gram block at most 4e6 entries
+    # (64 MB); past M = 2000 one trial's Gram is larger and the chunk is one trial
+    return max(1, min(16384, 4_000_000 // max(M * M, 1)))
 
 
 def _table_chunk(cfg: SystemConfig, t0: int, t1: int):
@@ -199,16 +193,26 @@ def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
     """Draw all cfg.trials realizations and reduce them to SIC statistics.
 
     Per-trial keyed streams make the result independent of chunking and of
-    `workers`, which only bounds the thread pool used across chunks.
+    `workers`, which only bounds the thread pool used across chunks. Raises
+    MemoryError, before allocating, when the table plus one chunk's Gram
+    block exceeds the machine's physical memory.
     """
     T, M = cfg.trials, cfg.M
+    step = _chunk_size(M)
+    table_bytes = T * (6 * M + 1) * 8  # six (T, M) arrays and d, float64
+    gram_bytes = min(step, T) * M * M * 16
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if table_bytes + gram_bytes > physical:
+        raise MemoryError(
+            f"trial table of {table_bytes} bytes plus a chunk Gram of {gram_bytes} "
+            f"bytes exceeds the {physical} bytes of physical memory"
+        )
     c = np.empty((T, M))
     interf = np.empty((T, M))
     b = np.empty((T, M))
     b_suffix = np.empty((T, M))
     d = np.empty(T)
     sigma_no_b = np.empty((T, M))
-    step = _chunk_size(M)
     bounds = [(t0, min(t0 + step, T)) for t0 in range(0, T, step)]
 
     def fill(span):
@@ -224,143 +228,3 @@ def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
         for span in bounds:
             fill(span)
     return TrialTable(cfg, c, interf, b, b_suffix, d, sigma_no_b)
-
-
-def embb_channel_gains(cfg: SystemConfig, workers: int = 1) -> np.ndarray:
-    """Broadband received powers ||g_B||^2 for all trials.
-
-    Consumes only the leading draws of each trial's stream, so the values
-    agree with `draw_realization` for the same (seed, trial_index).
-    """
-    T, L = cfg.trials, cfg.L
-    d = np.empty(T)
-    step = 65536
-
-    def fill(t0):
-        t1 = min(t0 + step, T)
-        Z = _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, 2 * L))
-        g = (Z[:, 0::2] + 1j * Z[:, 1::2]) * math.sqrt(cfg.gamma_bar_B / 2.0)
-        d[t0:t1] = np.einsum("tl,tl->t", g, g.conj()).real
-
-    starts = range(0, T, step)
-    if workers > 1 and T > step:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for t0 in starts:
-            fill(t0)
-    return d
-
-
-def _check_table(cfg: SystemConfig, table: Optional[TrialTable], workers: int) -> TrialTable:
-    if table is None:
-        return build_trial_table(cfg, workers=workers)
-    if table.cfg != cfg:
-        raise ValueError("trial table was built for a different configuration")
-    return table
-
-
-def estimate_mmtc_outage_orth(
-    cfg: SystemConfig,
-    r_M: float,
-    *,
-    table: Optional[TrialTable] = None,
-    workers: int = 1,
-) -> OutageEstimate:
-    """Per-device mMTC outage probability under orthogonal decoding.
-
-    The error event is per device-slot: p_hat is the probability that a
-    uniformly chosen device fails in a uniformly chosen slot.
-    """
-    if cfg.M < 1:
-        raise ValueError("mMTC outage needs at least one MTC device (M >= 1)")
-    if r_M < 0:
-        raise ValueError(f"r_M must be nonnegative, got {r_M}")
-    table = _check_table(cfg, table, workers)
-    errors = table.mmtc_orth_error_count(r_M)
-    return OutageEstimate.from_counts(errors, cfg.M * cfg.trials)
-
-
-def estimate_joint_outage_nonorth(
-    cfg: SystemConfig,
-    r_M: float,
-    r_B: float,
-    gamma_tar: float,
-    *,
-    table: Optional[TrialTable] = None,
-    workers: int = 1,
-):
-    """(mMTC estimate, broadband estimate) under non-orthogonal slicing.
-
-    The broadband device is conservatively always active: per trial it
-    transmits at gamma_tar / ||g_B||^2 with no truncation, so its error is
-    purely a decoding error. Requires gamma_tar > 2^r_B - 1, otherwise even
-    the interference-free attempt could never succeed.
-    """
-    if cfg.M < 1:
-        raise ValueError("joint outage needs at least one MTC device (M >= 1)")
-    if r_M < 0 or r_B < 0:
-        raise ValueError("rates must be nonnegative")
-    if not gamma_tar > 2.0**r_B - 1.0:
-        raise ValueError(
-            f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {2.0**r_B - 1.0}"
-        )
-    table = _check_table(cfg, table, workers)
-    mm_err, eb_err = table.nonorth_error_counts(r_M, r_B, gamma_tar)
-    return (
-        OutageEstimate.from_counts(mm_err, cfg.M * cfg.trials),
-        OutageEstimate.from_counts(eb_err, cfg.trials),
-    )
-
-
-def estimate_embb_power(
-    cfg: SystemConfig,
-    gamma_min: float,
-    gamma_tar: float,
-    *,
-    gains: Optional[np.ndarray] = None,
-    workers: int = 1,
-) -> float:
-    """Monte Carlo mean of the truncated-inversion transmit power."""
-    if gains is None:
-        gains = embb_channel_gains(cfg, workers=workers)
-    with np.errstate(divide="ignore"):
-        power = np.where(gains >= gamma_min, gamma_tar / gains, 0.0)
-    return float(power.mean())
-
-
-def estimate_embb_truncation_outage(
-    cfg: SystemConfig,
-    gamma_min: float,
-    *,
-    gains: Optional[np.ndarray] = None,
-    workers: int = 1,
-) -> OutageEstimate:
-    """Probability that the broadband channel falls below the transmit
-    threshold (the only outage source in the orthogonal case)."""
-    if gains is None:
-        gains = embb_channel_gains(cfg, workers=workers)
-    errors = int((gains < gamma_min).sum())
-    return OutageEstimate.from_counts(errors, len(gains))
-
-
-def sample_orth_trial(cfg: SystemConfig, trial_index: int, r_M: float) -> SlicingSample:
-    """Reference route: one trial through the per-realization orthogonal decoder."""
-    real = draw_realization(cfg, trial_index)
-    outcome = decode_orthogonal(real.G_M, cfg.P_M, r_M)
-    return SlicingSample(
-        trial_index=trial_index, outcome=outcome, P_B=0.0, embb_transmitted=False
-    )
-
-
-def sample_nonorth_trial(
-    cfg: SystemConfig, trial_index: int, r_M: float, r_B: float, gamma_tar: float
-) -> SlicingSample:
-    """Reference route: one trial through the per-realization interleaved decoder."""
-    real = draw_realization(cfg, trial_index)
-    d = float(np.real(np.vdot(real.g_B, real.g_B)))
-    P_B = gamma_tar / d
-    outcome = decode_non_orthogonal(real.G_M, real.g_B, cfg.P_M, P_B, r_M, r_B)
-    return SlicingSample(
-        trial_index=trial_index, outcome=outcome, P_B=P_B, embb_transmitted=True
-    )

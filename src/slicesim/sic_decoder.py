@@ -51,7 +51,6 @@ class DecodeOutcome:
     """
 
     mtc_decoded: np.ndarray
-    embb_present: bool
     embb_decoded: bool
     embb_decode_step: Optional[int] = None
 
@@ -87,9 +86,7 @@ def decode_orthogonal(G_M: np.ndarray, P_M: float, r_M: float) -> DecodeOutcome:
             decoded[order[k]] = True
         else:
             break
-    return DecodeOutcome(
-        mtc_decoded=decoded, embb_present=False, embb_decoded=False, embb_decode_step=None
-    )
+    return DecodeOutcome(mtc_decoded=decoded, embb_decoded=False)
 
 
 def decode_non_orthogonal(
@@ -145,7 +142,6 @@ def decode_non_orthogonal(
             embb_step = M
     return DecodeOutcome(
         mtc_decoded=decoded,
-        embb_present=True,
         embb_decoded=embb_decoded,
         embb_decode_step=embb_step,
     )

@@ -8,20 +8,23 @@ endpoints.
 
 Non-orthogonal slicing overlaps both services and needs a two-dimensional
 search: for each broadband rate r_B the largest feasible MTC rate is
-bisected, and each feasibility probe runs an inner search for the smallest
+bisected, and each feasibility probe runs an inner search for a small
 broadband target SNR that keeps the broadband decoding-error probability
 within eps_B (smaller target SNR means less interference onto the MTC
-devices, so the MTC constraint is checked at that minimum). The target SNR
+devices, so the MTC constraint is checked at that value). The target SNR
 is capped by the unit-average-power value of the orthogonal analysis.
 
-All searches share one trial table (common random numbers). The orthogonal
-MTC endpoint is read exactly from the table: the largest rate whose outage
-meets eps_M follows from one order statistic of the running-minimum SINRs,
-with no tolerance. The non-orthogonal search still bisects the MTC rate to
-RATE_TOL and the target SNR to GAMMA_REL_TOL; its inner search assumes the
-broadband error probability is nonincreasing in the target SNR, a structure
-checked empirically by `validate_gamma_monotonicity`, with a 32-point
-log-grid scan available as a fallback strategy.
+All searches share one trial table (common random numbers) and test
+feasibility on its exact error counts as `errors / n <= eps`. The
+orthogonal MTC endpoint is read exactly from the table: the largest rate
+whose outage meets eps_M follows from one order statistic of the
+running-minimum SINRs, with no tolerance. The non-orthogonal search
+bisects the MTC rate to RATE_TOL and the target SNR to GAMMA_REL_TOL. The
+broadband error count is not monotone in the target SNR (a strong
+broadband signal is decoded and removed early), so the target-SNR
+bisection returns the feasible end of a bracket around one
+infeasible-to-feasible crossing, which need not be the smallest feasible
+value.
 """
 
 from __future__ import annotations
@@ -34,12 +37,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .embb_analysis import EmbbOperatingPoint, operating_point
-from .monte_carlo import (
-    TrialTable,
-    build_trial_table,
-    estimate_joint_outage_nonorth,
-    estimate_mmtc_outage_orth,
-)
+from .monte_carlo import TrialTable, build_trial_table
 
 __all__ = [
     "RatePoint",
@@ -49,12 +47,12 @@ __all__ = [
     "max_mmtc_rate_nonorth",
     "nonorthogonal_region",
     "max_devices",
-    "validate_gamma_monotonicity",
 ]
 
 RATE_TOL = 0.01  # bits/s/Hz, below the plot resolution of the target figures
 GAMMA_REL_TOL = 0.01
 RATE_CAP = 64.0
+M_CAP = 4096  # largest device count `max_devices` probes
 
 
 @dataclass(frozen=True)
@@ -70,15 +68,19 @@ class RatePoint:
     gamma_tar: Optional[float] = None
 
 
-def _embb_op(cfg: SystemConfig, op: Optional[EmbbOperatingPoint]) -> EmbbOperatingPoint:
-    return op if op is not None else operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+def _table_for(cfg: SystemConfig, table: Optional[TrialTable]) -> TrialTable:
+    """The given table, checked against cfg, or a new one-worker build."""
+    if table is None:
+        return build_trial_table(cfg)
+    if table.cfg != cfg:
+        raise ValueError("trial table was built for a different configuration")
+    return table
 
 
 def max_mmtc_rate_orth(
     cfg: SystemConfig,
     *,
     table: Optional[TrialTable] = None,
-    workers: int = 1,
     r_cap: float = RATE_CAP,
 ) -> float:
     """Largest common MTC rate meeting the eps_M outage target without
@@ -93,15 +95,14 @@ def max_mmtc_rate_orth(
     """
     if cfg.M < 1:
         raise ValueError("mMTC rate search needs M >= 1")
-    if table is None:
-        table = build_trial_table(cfg, workers=workers)
-    if estimate_mmtc_outage_orth(cfg, r_cap, table=table).p_hat <= cfg.eps_M:
+    table = _table_for(cfg, table)
+    n = cfg.M * cfg.trials
+    if table.mmtc_orth_error_count(r_cap) / n <= cfg.eps_M:
         warnings.warn(
             f"mMTC rate search hit the cap {r_cap} bits/s/Hz; "
             "the outage constraint appears non-binding"
         )
         return r_cap
-    n = cfg.M * cfg.trials
     errors = int(cfg.eps_M * n)  # largest error count with errors / n <= eps_M
     while (errors + 1) / n <= cfg.eps_M:
         errors += 1
@@ -124,8 +125,6 @@ def orthogonal_region(
     alpha_grid: Sequence[float],
     *,
     table: Optional[TrialTable] = None,
-    workers: int = 1,
-    op: Optional[EmbbOperatingPoint] = None,
     r_M_out: Optional[float] = None,
 ) -> List[RatePoint]:
     """Time-sharing line: alpha -> (alpha * r_B_out, (1 - alpha) * r_M_out)."""
@@ -134,9 +133,9 @@ def orthogonal_region(
         raise ValueError("alpha_grid must not be empty")
     if any(not 0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha_grid values must lie in [0, 1]")
-    op = _embb_op(cfg, op)
+    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
     if r_M_out is None:
-        r_M_out = max_mmtc_rate_orth(cfg, table=table, workers=workers)
+        r_M_out = max_mmtc_rate_orth(cfg, table=table)
     return [
         RatePoint(
             r_B=a * op.r_B_out,
@@ -165,42 +164,29 @@ def min_feasible_gamma_tar(
     r_M: float,
     *,
     table: Optional[TrialTable] = None,
-    op: Optional[EmbbOperatingPoint] = None,
-    workers: int = 1,
-    rel_tol: float = GAMMA_REL_TOL,
-    strategy: str = "bisect",
-    n_scan: int = 32,
 ) -> Optional[float]:
-    """Smallest target SNR whose broadband error probability meets eps_B at
-    the given rate pair; None if no admissible value works.
+    """Small target SNR whose broadband error probability meets eps_B at the
+    given rate pair; None if neither end of the admissible interval does.
 
-    "bisect" assumes the error probability is nonincreasing in the target
-    SNR and returns the feasible end of the final bracket; "scan" evaluates
-    n_scan log-spaced candidates and needs no structure.
+    Returns the lower end when it is feasible. Otherwise the upper end must
+    be, and the interval is bisected geometrically to GAMMA_REL_TOL; the
+    feasible end of the final bracket is returned.
     """
-    op = _embb_op(cfg, op)
+    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
     bracket = _gamma_bracket(op, r_B)
     if bracket is None:
         return None
     lo, hi = bracket
-    if table is None:
-        table = build_trial_table(cfg, workers=workers)
+    table = _table_for(cfg, table)
 
     def embb_ok(g: float) -> bool:
-        return estimate_joint_outage_nonorth(cfg, r_M, r_B, g, table=table)[1].p_hat <= cfg.eps_B
+        return table.nonorth_error_counts(r_M, r_B, g)[1] / cfg.trials <= cfg.eps_B
 
-    if strategy == "scan":
-        for g in np.geomspace(lo, hi, n_scan):
-            if embb_ok(float(g)):
-                return float(g)
-        return None
-    if strategy != "bisect":
-        raise ValueError(f"unknown gamma search strategy {strategy!r}")
     if embb_ok(lo):
         return lo
     if not embb_ok(hi):
         return None
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + GAMMA_REL_TOL:
         mid = float(np.sqrt(lo * hi))
         if embb_ok(mid):
             hi = mid
@@ -214,45 +200,36 @@ def max_mmtc_rate_nonorth(
     r_B: float,
     *,
     table: Optional[TrialTable] = None,
-    op: Optional[EmbbOperatingPoint] = None,
-    r_hi: Optional[float] = None,
-    workers: int = 1,
-    tol: float = RATE_TOL,
-    gamma_strategy: str = "bisect",
 ) -> Tuple[float, float]:
     """Largest MTC rate feasible under non-orthogonal slicing at broadband
-    rate r_B, together with the accepted (minimal) broadband target SNR.
+    rate r_B, together with the accepted broadband target SNR.
 
-    A rate is feasible when some admissible target SNR keeps the broadband
-    error within eps_B and, at the smallest such SNR, the MTC outage stays
-    within eps_M. Returns (0.0, cap SNR) when the admissible interval is
-    empty (r_B at the orthogonal outage rate).
+    A rate is feasible when `min_feasible_gamma_tar` finds a target SNR
+    keeping the broadband error within eps_B and, at that SNR, the MTC
+    outage stays within eps_M. The rate is bisected to RATE_TOL from the
+    orthogonal endpoint plus RATE_TOL. Returns (0.0, cap SNR) when the
+    admissible interval is empty (r_B at the orthogonal outage rate).
     """
-    op = _embb_op(cfg, op)
+    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
     if r_B < 0 or r_B > op.r_B_out * (1.0 + 1e-12):
         raise ValueError(f"r_B must lie in [0, r_B_out={op.r_B_out:.6f}], got {r_B}")
-    if table is None:
-        table = build_trial_table(cfg, workers=workers)
+    table = _table_for(cfg, table)
     if _gamma_bracket(op, r_B) is None:
         return 0.0, op.gamma_tar
 
     def probe(r: float) -> Tuple[bool, Optional[float]]:
-        g = min_feasible_gamma_tar(
-            cfg, r_B, r, table=table, op=op, strategy=gamma_strategy
-        )
+        g = min_feasible_gamma_tar(cfg, r_B, r, table=table)
         if g is None:
             return False, None
-        mm = estimate_joint_outage_nonorth(cfg, r, r_B, g, table=table)[0]
-        return mm.p_hat <= cfg.eps_M, g
+        mm_err = table.nonorth_error_counts(r, r_B, g)[0]
+        return mm_err / (cfg.M * cfg.trials) <= cfg.eps_M, g
 
     ok0, g0 = probe(0.0)
     if not ok0:
         # unreachable analytically (rate zero never fails); keep the floor
         return 0.0, g0 if g0 is not None else op.gamma_tar
     best_r, best_g = 0.0, g0
-    if r_hi is None:
-        r_hi = max_mmtc_rate_orth(cfg, table=table) + tol
-    hi = max(r_hi, tol)
+    hi = max(max_mmtc_rate_orth(cfg, table=table) + RATE_TOL, RATE_TOL)
     ok_hi, g_hi = probe(hi)
     while ok_hi:
         best_r, best_g = hi, g_hi
@@ -262,7 +239,7 @@ def max_mmtc_rate_nonorth(
             return best_r, best_g
         ok_hi, g_hi = probe(hi)
     lo = best_r
-    while hi - lo > tol:
+    while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
         ok, g = probe(mid)
         if ok:
@@ -278,66 +255,23 @@ def nonorthogonal_region(
     *,
     n_points: int = 41,
     table: Optional[TrialTable] = None,
-    op: Optional[EmbbOperatingPoint] = None,
-    workers: int = 1,
-    tol: float = RATE_TOL,
-    gamma_strategy: str = "bisect",
 ) -> List[RatePoint]:
     """Sweep the broadband rate over [0, r_B_out] (default: n_points evenly
     spaced values) and search the largest MTC rate at each point."""
-    op = _embb_op(cfg, op)
     if r_B_grid is None:
+        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         r_B_grid = np.linspace(0.0, op.r_B_out, n_points)
     grid = [float(r) for r in r_B_grid]
     if not grid:
         raise ValueError("r_B_grid must not be empty")
-    if table is None:
-        table = build_trial_table(cfg, workers=workers)
-    r_hi = max_mmtc_rate_orth(cfg, table=table) + tol
+    table = _table_for(cfg, table)
     points = []
     for r_B in grid:
-        r_M, gamma = max_mmtc_rate_nonorth(
-            cfg,
-            r_B,
-            table=table,
-            op=op,
-            r_hi=r_hi,
-            tol=tol,
-            gamma_strategy=gamma_strategy,
-        )
+        r_M, gamma = max_mmtc_rate_nonorth(cfg, r_B, table=table)
         points.append(
             RatePoint(r_B=r_B, r_M=r_M, mode="non_orthogonal", gamma_tar=gamma)
         )
     return points
-
-
-def validate_gamma_monotonicity(
-    cfg: SystemConfig,
-    r_B: float,
-    r_M: float,
-    *,
-    table: Optional[TrialTable] = None,
-    op: Optional[EmbbOperatingPoint] = None,
-    n_grid: int = 8,
-    workers: int = 1,
-) -> bool:
-    """Empirical check that the broadband error probability is nonincreasing
-    in the target SNR on a coarse log grid (the structure the bisection
-    strategy relies on). Returns True when monotone on the tested grid."""
-    op = _embb_op(cfg, op)
-    bracket = _gamma_bracket(op, r_B)
-    if bracket is None:
-        return True
-    if table is None:
-        table = build_trial_table(cfg, workers=workers)
-    lo, hi = bracket
-    last = None
-    for g in np.geomspace(lo, hi, n_grid):
-        p = estimate_joint_outage_nonorth(cfg, r_M, r_B, float(g), table=table)[1].p_hat
-        if last is not None and p > last:
-            return False
-        last = p
-    return True
 
 
 def max_devices(
@@ -347,8 +281,6 @@ def max_devices(
     mode: str,
     *,
     workers: int = 1,
-    m_cap: int = 4096,
-    gamma_strategy: str = "bisect",
 ) -> int:
     """Largest number of MTC devices supportable at (r_M, r_B) in the given
     mode; cfg.M is a template value and is replaced during the search.
@@ -357,7 +289,8 @@ def max_devices(
     the per-device rate r_M / (1 - alpha) during the MTC fraction; a
     broadband rate at or past the outage rate leaves no time for MTC and
     yields 0. Geometric growth brackets the answer, then binary search,
-    assuming feasibility is monotone in the device count.
+    assuming feasibility is monotone in the device count. Each probed count
+    gets its own trial table, built with `workers` threads.
     """
     if r_M <= 0:
         raise ValueError(f"r_M must be positive, got {r_M}")
@@ -367,38 +300,31 @@ def max_devices(
         if alpha >= 1.0:
             return 0
         required = r_M / (1.0 - alpha)
-
-        def feasible(m: int) -> bool:
-            cfg_m = replace(cfg, M=m)
-            est = estimate_mmtc_outage_orth(cfg_m, required, workers=workers)
-            return est.p_hat <= cfg.eps_M
-
     elif mode == "non_orthogonal":
         if _gamma_bracket(op, r_B) is None:
             return 0
-
-        def feasible(m: int) -> bool:
-            cfg_m = replace(cfg, M=m)
-            table = build_trial_table(cfg_m, workers=workers)
-            g = min_feasible_gamma_tar(
-                cfg_m, r_B, r_M, table=table, op=op, strategy=gamma_strategy
-            )
-            if g is None:
-                return False
-            mm = estimate_joint_outage_nonorth(cfg_m, r_M, r_B, g, table=table)[0]
-            return mm.p_hat <= cfg.eps_M
-
     else:
         raise ValueError(f"unknown mode {mode!r}")
+
+    def feasible(m: int) -> bool:
+        table = build_trial_table(replace(cfg, M=m), workers=workers)
+        if mode == "orthogonal":
+            errors = table.mmtc_orth_error_count(required)
+        else:
+            g = min_feasible_gamma_tar(table.cfg, r_B, r_M, table=table)
+            if g is None:
+                return False
+            errors = table.nonorth_error_counts(r_M, r_B, g)[0]
+        return errors / (m * cfg.trials) <= cfg.eps_M
 
     if not feasible(1):
         return 0
     lo, hi = 1, 2
-    while hi <= m_cap and feasible(hi):
+    while hi <= M_CAP and feasible(hi):
         lo = hi
         hi *= 2
-    if hi > m_cap:
-        warnings.warn(f"device search hit the cap M = {m_cap}")
+    if hi > M_CAP:
+        warnings.warn(f"device search hit the cap M = {M_CAP}")
         return lo
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import slicesim.cli
 from slicesim.cli import (
     ConfigError,
     PRESETS,
@@ -207,6 +208,14 @@ class TestRunOutage:
         with pytest.raises(ConfigError, match="r_M"):
             run_outage(spec)
 
+    def test_one_table_per_antenna_count(self, monkeypatch):
+        built, build = [], slicesim.cli.build_trial_table
+        counting = lambda cfg, **kw: built.append(cfg.L) or build(cfg, **kw)  # noqa: E731
+        monkeypatch.setattr(slicesim.cli, "build_trial_table", counting)
+        text = GOOD_CONFIG.replace("L = 2", "L = 1,2") + "mode = both\nr_M = 0.5\nr_B = 1.0\n"
+        run_outage(parse_spec("outage", text))
+        assert built == [1, 2]  # mode both evaluates both slicing modes on one table
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -240,6 +249,12 @@ class TestMainExitCodes:
         code = main(["region", "--config", str(cfg), "--out", "/nonexistent/dir/x.csv"])
         assert code == 1
         capsys.readouterr()
+
+    def test_table_over_memory_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("M = 3", "M = 4096") + "r_M = 0.5\nr_B = 1.0\n")
+        assert main(["outage", "--config", str(cfg), "--trials", str(10**8)]) == 1
+        assert "bytes" in capsys.readouterr().err
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

@@ -1,23 +1,14 @@
 """Monte Carlo estimators: route equivalence, determinism, calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from slicesim.channel import SystemConfig
-from slicesim.monte_carlo import (
-    OutageEstimate,
-    build_trial_table,
-    embb_channel_gains,
-    estimate_embb_power,
-    estimate_embb_truncation_outage,
-    estimate_joint_outage_nonorth,
-    estimate_mmtc_outage_orth,
-    sample_nonorth_trial,
-    sample_orth_trial,
-    wilson_half_width,
-)
+from slicesim.channel import SystemConfig, draw_realization
+from slicesim.monte_carlo import OutageEstimate, build_trial_table, wilson_half_width
+from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 
 
 def make_cfg(**kw):
@@ -51,34 +42,36 @@ class TestRouteEquivalence:
     def test_orthogonal_counts(self, L, M):
         cfg = make_cfg(L=L, M=M, trials=400)
         table = build_trial_table(cfg)
+        reals = [draw_realization(cfg, t) for t in range(cfg.trials)]
         for r_M in (0.0, 0.25, 0.7, 1.4, 3.0):
             fast = table.mmtc_orth_error_count(r_M)
             ref = sum(
-                M - int(sample_orth_trial(cfg, t, r_M).outcome.mtc_decoded.sum())
-                for t in range(cfg.trials)
+                M - int(decode_orthogonal(real.G_M, cfg.P_M, r_M).mtc_decoded.sum())
+                for real in reals
             )
             assert fast == ref
 
-    @pytest.mark.parametrize("L,M", [(1, 3), (2, 5), (4, 2)])
+    @pytest.mark.parametrize("L,M", [(1, 3), (2, 5), (4, 2), (12, 300)])
     def test_nonorthogonal_counts(self, L, M):
-        cfg = make_cfg(L=L, M=M, trials=400)
+        # M = 300 takes 44-trial chunks: its 60 trials span two of them
+        cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 60)
         table = build_trial_table(cfg)
+        reals = [draw_realization(cfg, t) for t in range(cfg.trials)]
         cases = [(0.3, 1.0, 12.0), (0.8, 2.5, 40.0), (0.1, 0.0, 1e-9), (1.5, 4.0, 200.0)]
         for r_M, r_B, gamma in cases:
             mm_fast, eb_fast = table.nonorth_error_counts(r_M, r_B, gamma)
             mm_ref = eb_ref = 0
-            for t in range(cfg.trials):
-                s = sample_nonorth_trial(cfg, t, r_M, r_B, gamma)
-                mm_ref += M - int(s.outcome.mtc_decoded.sum())
-                eb_ref += int(not s.outcome.embb_decoded)
+            for real in reals:
+                P_B = gamma / float(np.real(np.vdot(real.g_B, real.g_B)))
+                out = decode_non_orthogonal(real.G_M, real.g_B, cfg.P_M, P_B, r_M, r_B)
+                mm_ref += M - int(out.mtc_decoded.sum())
+                eb_ref += int(not out.embb_decoded)
             assert (mm_fast, eb_fast) == (mm_ref, eb_ref)
 
     def test_table_gains_match_realizations(self):
-        from slicesim.channel import draw_realization
-
         cfg = make_cfg(trials=50)
         table = build_trial_table(cfg)
-        gains = embb_channel_gains(cfg)
+        gains = build_trial_table(replace(cfg, M=0)).d
         for t in (0, 13, 49):
             d = float(np.sum(np.abs(draw_realization(cfg, t).g_B) ** 2))
             assert table.d[t] == pytest.approx(d, rel=1e-12)
@@ -88,8 +81,8 @@ class TestRouteEquivalence:
 class TestDeterminism:
     def test_same_seed_same_estimates(self):
         cfg = make_cfg(trials=2000)
-        a = estimate_mmtc_outage_orth(cfg, 0.5)
-        b = estimate_mmtc_outage_orth(cfg, 0.5)
+        a = build_trial_table(cfg).mmtc_orth_error_count(0.5)
+        b = build_trial_table(cfg).mmtc_orth_error_count(0.5)
         assert a == b
 
     def test_worker_count_does_not_change_table(self):
@@ -101,27 +94,32 @@ class TestDeterminism:
 
     def test_joint_estimates_deterministic(self):
         cfg = make_cfg(L=4, M=10, trials=2000)
-        a = estimate_joint_outage_nonorth(cfg, 0.4, 2.0, 50.0)
-        b = estimate_joint_outage_nonorth(cfg, 0.4, 2.0, 50.0, workers=4)
+        a = build_trial_table(cfg).nonorth_error_counts(0.4, 2.0, 50.0)
+        b = build_trial_table(cfg, workers=4).nonorth_error_counts(0.4, 2.0, 50.0)
         assert a == b
+
+    def test_table_over_physical_memory_raises_before_allocating(self):
+        with pytest.raises(MemoryError, match="physical memory"):
+            build_trial_table(make_cfg(M=4096, trials=10**8))
 
     def test_seed_changes_estimates(self):
         r = 0.62
-        a = estimate_mmtc_outage_orth(make_cfg(trials=3000, seed=1), r)
-        b = estimate_mmtc_outage_orth(make_cfg(trials=3000, seed=2), r)
-        assert a.p_hat != b.p_hat
+        a = build_trial_table(make_cfg(trials=3000, seed=1)).mmtc_orth_error_count(r)
+        b = build_trial_table(make_cfg(trials=3000, seed=2)).mmtc_orth_error_count(r)
+        assert a != b
 
 
 class TestOrthogonalEstimator:
     def test_zero_rate_no_errors(self):
-        assert estimate_mmtc_outage_orth(make_cfg(), 0.0).p_hat == 0.0
+        assert build_trial_table(make_cfg()).mmtc_orth_error_count(0.0) == 0
 
     def test_huge_rate_all_errors(self):
-        assert estimate_mmtc_outage_orth(make_cfg(), 30.0).p_hat == 1.0
+        cfg = make_cfg()
+        assert build_trial_table(cfg).mmtc_orth_error_count(30.0) == cfg.M * cfg.trials
 
     def test_requires_devices(self):
         with pytest.raises(ValueError):
-            estimate_mmtc_outage_orth(make_cfg(M=0), 0.5)
+            build_trial_table(make_cfg(M=0)).mmtc_orth_error_count(0.5)
 
     def test_single_user_rayleigh_calibration(self):
         # closed form: Pr{P_M |g|^2 < 2^r - 1} = 1 - exp(-(2^r-1)/gamma_bar)
@@ -130,9 +128,9 @@ class TestOrthogonalEstimator:
         thr = -gamma_bar * math.log(1 - eps)
         r = math.log2(1 + thr)
         cfg = make_cfg(L=1, M=1, gamma_bar_M=gamma_bar, trials=40_000)
-        est = estimate_mmtc_outage_orth(cfg, r)
+        p_hat = build_trial_table(cfg).mmtc_orth_error_count(r) / cfg.trials
         se = math.sqrt(eps * (1 - eps) / cfg.trials)
-        assert abs(est.p_hat - eps) < 3 * se
+        assert abs(p_hat - eps) < 3 * se
 
     def test_monotone_in_rate_exactly(self):
         cfg = make_cfg(trials=5000)
@@ -143,23 +141,22 @@ class TestOrthogonalEstimator:
 
 class TestNonOrthogonalEstimator:
     def test_gamma_precondition(self):
-        cfg = make_cfg()
+        table = build_trial_table(make_cfg())
         with pytest.raises(ValueError):
-            estimate_joint_outage_nonorth(cfg, 0.5, 2.0, 3.0)  # 3.0 == 2^2 - 1
+            table.nonorth_error_counts(0.5, 2.0, 3.0)  # 3.0 == 2^2 - 1
 
     def test_zero_rate_b_never_fails_embb(self):
         cfg = make_cfg(trials=3000)
-        mm, eb = estimate_joint_outage_nonorth(cfg, 0.5, 0.0, 5.0)
-        assert eb.p_hat == 0.0
+        mm, eb = build_trial_table(cfg).nonorth_error_counts(0.5, 0.0, 5.0)
+        assert eb == 0
 
     def test_vanishing_power_reduces_to_orthogonal(self):
         cfg = make_cfg(trials=3000)
         table = build_trial_table(cfg)
         for r_M in (0.2, 0.6, 1.1):
-            mm, eb = estimate_joint_outage_nonorth(cfg, r_M, 0.0, 1e-12, table=table)
-            orth = estimate_mmtc_outage_orth(cfg, r_M, table=table)
-            assert mm.p_hat == orth.p_hat
-            assert eb.p_hat == 0.0
+            mm, eb = table.nonorth_error_counts(r_M, 0.0, 1e-12)
+            assert mm == table.mmtc_orth_error_count(r_M)
+            assert eb == 0
 
     def test_mmtc_error_dominates_orthogonal(self):
         # broadband interference can only hurt the MTC devices (per trial the
@@ -216,27 +213,29 @@ class TestNonOrthogonalEstimator:
 
     def test_requires_devices(self):
         with pytest.raises(ValueError):
-            estimate_joint_outage_nonorth(make_cfg(M=0), 0.5, 1.0, 10.0)
+            build_trial_table(make_cfg(M=0)).nonorth_error_counts(0.5, 1.0, 10.0)
+
+
+def embb_power(gains, gamma_min, gamma_tar):
+    """Mean truncated-inversion transmit power over the broadband gains."""
+    return float(np.where(gains >= gamma_min, gamma_tar / gains, 0.0).mean())
 
 
 class TestEmbbPowerEstimator:
     def test_never_transmits_at_infinite_threshold(self):
-        cfg = make_cfg(trials=2000)
-        assert estimate_embb_power(cfg, 1e12, 50.0) == 0.0
+        gains = build_trial_table(make_cfg(M=0, trials=2000)).d
+        assert embb_power(gains, 1e12, 50.0) == 0.0
 
     def test_linear_in_target(self):
-        cfg = make_cfg(trials=2000)
-        gains = embb_channel_gains(cfg)
-        a = estimate_embb_power(cfg, 1.0, 10.0, gains=gains)
-        b = estimate_embb_power(cfg, 1.0, 20.0, gains=gains)
+        gains = build_trial_table(make_cfg(M=0, trials=2000)).d
+        a = embb_power(gains, 1.0, 10.0)
+        b = embb_power(gains, 1.0, 20.0)
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_truncation_outage_counts_low_gains(self):
-        cfg = make_cfg(trials=1000)
-        gains = embb_channel_gains(cfg)
+        gains = build_trial_table(make_cfg(M=0, trials=1000)).d
         med = float(np.median(gains))
-        est = estimate_embb_truncation_outage(cfg, med, gains=gains)
-        assert est.p_hat == pytest.approx(0.5, abs=0.05)
+        assert int((gains < med).sum()) / len(gains) == pytest.approx(0.5, abs=0.05)
 
 
 class TestCauchySchwarzGuard:

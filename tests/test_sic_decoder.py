@@ -39,7 +39,7 @@ class TestDecodeOrthogonalHandExamples:
     def test_both_decode_at_rate_one(self):
         out = decode_orthogonal(self.G, 1.0, 1.0)
         assert out.mtc_decoded.tolist() == [True, True]
-        assert not out.embb_present and not out.embb_decoded
+        assert not out.embb_decoded
 
     def test_weak_fails_at_rate_1p2(self):
         assert decode_orthogonal(self.G, 1.0, 1.2).mtc_decoded.tolist() == [True, False]

@@ -8,7 +8,7 @@ import pytest
 
 from slicesim.channel import SystemConfig
 from slicesim.embb_analysis import operating_point
-from slicesim.monte_carlo import build_trial_table, estimate_mmtc_outage_orth
+from slicesim.monte_carlo import build_trial_table
 from slicesim.slicing_search import (
     max_devices,
     max_mmtc_rate_nonorth,
@@ -16,7 +16,6 @@ from slicesim.slicing_search import (
     min_feasible_gamma_tar,
     nonorthogonal_region,
     orthogonal_region,
-    validate_gamma_monotonicity,
 )
 
 
@@ -43,8 +42,9 @@ class TestMaxMmtcRateOrth:
             table = build_trial_table(cfg)
             r = max_mmtc_rate_orth(cfg, table=table)
             r_next = float(np.nextafter(r, np.inf))
-            assert estimate_mmtc_outage_orth(cfg, r, table=table).p_hat <= cfg.eps_M
-            assert estimate_mmtc_outage_orth(cfg, r_next, table=table).p_hat > cfg.eps_M
+            n = cfg.M * cfg.trials
+            assert table.mmtc_orth_error_count(r) / n <= cfg.eps_M
+            assert table.mmtc_orth_error_count(r_next) / n > cfg.eps_M
 
     def test_slack_constraint_hits_cap_with_warning(self):
         # gains so large the outage constraint never binds below the cap
@@ -91,7 +91,7 @@ class TestMinFeasibleGammaTar:
         cfg = make_cfg()
         table = build_trial_table(cfg)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-        g = min_feasible_gamma_tar(cfg, 0.0, 0.5, table=table, op=op)
+        g = min_feasible_gamma_tar(cfg, 0.0, 0.5, table=table)
         assert g is not None and g == pytest.approx(op.gamma_tar * 1e-9, rel=1e-6)
 
     def test_respects_average_power_cap(self):
@@ -99,27 +99,19 @@ class TestMinFeasibleGammaTar:
         table = build_trial_table(cfg)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         for r_B in (0.0, 0.3 * op.r_B_out, 0.9 * op.r_B_out):
-            g = min_feasible_gamma_tar(cfg, r_B, 0.3, table=table, op=op)
+            g = min_feasible_gamma_tar(cfg, r_B, 0.3, table=table)
             if g is not None:
                 assert g <= op.gamma_tar * (1 + 1e-9)
                 assert g > 2.0**r_B - 1.0
 
-    def test_scan_strategy_feasible_too(self):
+    def test_bisection_result_meets_eps_B(self):
         cfg = make_cfg(L=4, M=4)
         table = build_trial_table(cfg)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         r_B = 0.3 * op.r_B_out
-        g_scan = min_feasible_gamma_tar(cfg, r_B, 0.3, table=table, op=op, strategy="scan")
-        assert g_scan is not None
-        from slicesim.monte_carlo import estimate_joint_outage_nonorth
-
-        _, eb = estimate_joint_outage_nonorth(cfg, 0.3, r_B, g_scan, table=table)
-        assert eb.p_hat <= cfg.eps_B
-
-    def test_unknown_strategy(self):
-        cfg = make_cfg(trials=500)
-        with pytest.raises(ValueError):
-            min_feasible_gamma_tar(cfg, 0.1, 0.1, strategy="newton")
+        g = min_feasible_gamma_tar(cfg, r_B, 0.3, table=table)
+        assert g is not None
+        assert table.nonorth_error_counts(0.3, r_B, g)[1] / cfg.trials <= cfg.eps_B
 
 
 class TestMaxMmtcRateNonorth:
@@ -156,7 +148,7 @@ class TestMaxMmtcRateNonorth:
             op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
             ceiling = max_mmtc_rate_orth(cfg, table=table)
             for frac in (0.0, 0.05, 0.1, 0.25, 0.75):
-                r_M, _ = max_mmtc_rate_nonorth(cfg, frac * op.r_B_out, table=table, op=op)
+                r_M, _ = max_mmtc_rate_nonorth(cfg, frac * op.r_B_out, table=table)
                 assert r_M <= ceiling
 
 
@@ -189,18 +181,6 @@ class TestNonorthogonalRegion:
             nonorthogonal_region(make_cfg(trials=500), [])
 
 
-class TestValidateGammaMonotonicity:
-    def test_returns_bool(self):
-        cfg = make_cfg(L=2, M=3, trials=2000)
-        result = validate_gamma_monotonicity(cfg, 1.0, 0.3, n_grid=5)
-        assert isinstance(result, bool)
-
-    def test_degenerate_bracket_is_vacuously_monotone(self):
-        cfg = make_cfg(trials=500)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-        assert validate_gamma_monotonicity(cfg, op.r_B_out, 0.3) is True
-
-
 class TestMaxDevices:
     def test_orthogonal_no_time_left(self):
         cfg = make_cfg(trials=500)
@@ -223,8 +203,8 @@ class TestMaxDevices:
         from dataclasses import replace
 
         def feasible(m):
-            est = estimate_mmtc_outage_orth(replace(cfg, M=m), 0.25)
-            return est.p_hat <= cfg.eps_M
+            errors = build_trial_table(replace(cfg, M=m)).mmtc_orth_error_count(0.25)
+            return errors / (m * cfg.trials) <= cfg.eps_M
 
         scan = 0
         for m in range(1, got + 4):
