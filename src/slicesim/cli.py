@@ -296,6 +296,18 @@ def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
         raise ConfigError("config field 'r_M' is required for the outage command")
     if spec.mode in ("nonorth", "both") and spec.r_B is None:
         raise ConfigError("config field 'r_B' is required for non-orthogonal outage")
+    gammas = {}
+    if spec.mode in ("nonorth", "both"):
+        for L in spec.L_values:
+            cfg = _cfg_for(spec, L)
+            op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+            gamma = spec.gamma_tar if spec.gamma_tar is not None else op.gamma_tar
+            if not gamma > 2.0**spec.r_B - 1.0:
+                raise ConfigError(
+                    f"gamma_tar = {gamma} must exceed 2^r_B - 1 = {2.0**spec.r_B - 1.0} "
+                    f"at r_B = {spec.r_B} (L = {L})"
+                )
+            gammas[L] = gamma
     rows = []
     for L in spec.L_values:
         cfg = _cfg_for(spec, L)
@@ -309,11 +321,9 @@ def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
                  None, est.p_hat, None, est.half_width_95)
             )
         if spec.mode in ("nonorth", "both"):
-            op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-            gamma = spec.gamma_tar if spec.gamma_tar is not None else op.gamma_tar
             rows.append(
-                ("nonorth", L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gamma))
-                + _nonorth_stats(table, spec.r_M, spec.r_B, gamma)
+                ("nonorth", L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gammas[L]))
+                + _nonorth_stats(table, spec.r_M, spec.r_B, gammas[L])
             )
     return _write_csv(_OUTAGE_HEADER, rows, out)
 

@@ -9,8 +9,9 @@ The engine exploits that split: `build_trial_table` draws all realizations
 once and reduces each to the per-trial statistics that the MRC-SIC
 recursion actually consumes (sorted received powers, pairwise projection
 magnitudes, broadband coupling terms). Evaluating an operating point is
-then a vectorized replay over all trials, milliseconds instead of a fresh
-simulation, which is what makes the outer rate searches affordable.
+then one comparison pass of those statistics against the rate thresholds,
+with no loop over devices: milliseconds instead of a fresh simulation,
+which is what makes the outer rate searches affordable.
 
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
 are the evaluation API: they return error counts, and
@@ -128,32 +129,24 @@ class TrialTable:
             raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
         T, M = cfg.trials, cfg.M
         P_B = gamma_tar / self.d
-        n_dec = np.zeros(T, dtype=np.int64)
-        embb_dec = np.zeros(T, dtype=bool)
-        dead = np.zeros(T, dtype=bool)
-        for j in range(M):
-            c_j = self.c[:, j]
-            sig_with_b = (cfg.P_M * c_j * c_j) / (
-                self.interf[:, j] + P_B * self.b[:, j] + c_j
-            )
-            sig_no_b = self.sigma_no_b[:, j]
-            sig_embb = P_B * self.d * self.d / (self.b_suffix[:, j] + self.d)
-            live = ~dead
-            before = live & ~embb_dec  # broadband still unresolved
-            after = live & embb_dec
-            ok_with_b = sig_with_b >= thr_M
-            ok_no_b = sig_no_b >= thr_M
-            failed = before & ~ok_with_b
-            embb_ok = sig_embb >= thr_B
-            rescued = failed & embb_ok  # broadband resolved, device retried
-            n_dec += (before & ok_with_b) | (rescued & ok_no_b) | (after & ok_no_b)
-            dead |= (failed & ~embb_ok) | (rescued & ~ok_no_b) | (after & ~ok_no_b)
-            embb_dec |= rescued
-        # trials that decoded every device with the broadband signal pending:
-        # final attempt is interference-free, SNR = P_B * d = gamma_tar
-        embb_dec |= ~dead & (P_B * self.d >= thr_B)
+        sig_with_b = (cfg.P_M * self.c * self.c) / (
+            self.interf + P_B[:, None] * self.b + self.c
+        )
+        # k: devices decoded while the broadband signal is pending
+        k = np.logical_and.accumulate(sig_with_b >= thr_M, axis=1).sum(axis=1)
+        # the broadband attempt at position k faces devices k.. (b_suffix);
+        # at k == M it comes last, interference-free, with SNR P_B * d
+        b_k = self.b_suffix[np.arange(T), np.minimum(k, M - 1)]
+        embb_ok = np.where(
+            k < M, P_B * self.d * self.d / (b_k + self.d) >= thr_B, P_B * self.d >= thr_B
+        )
+        # a rescued trial goes on from device k to the first failure of the
+        # no-broadband chain; dropping P_B * b >= 0 from a denominator cannot
+        # lower an SINR, so that failure is at or after k: the orthogonal count
+        n_orth = (self.prefix_min >= thr_M).sum(axis=1)
+        n_dec = np.where(embb_ok, n_orth, k)
         mm_err = M * T - int(n_dec.sum())
-        eb_err = T - int(embb_dec.sum())
+        eb_err = T - int(embb_ok.sum())
         return mm_err, eb_err
 
 

@@ -26,8 +26,8 @@ Two procedures are implemented:
   signal never takes a slot in the norm ordering; its decode position is
   event-driven.
 
-These loops are the readable reference; `monte_carlo` vectorizes the same
-recursion across trials and is tested for exact agreement.
+These loops are the readable reference; `monte_carlo` counts the same
+outcomes over all trials in one pass and is tested for exact agreement.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ feasibility on its exact error counts as `errors / n <= eps`. The
 orthogonal MTC endpoint is read exactly from the table: the largest rate
 whose outage meets eps_M follows from one order statistic of the
 running-minimum SINRs, with no tolerance. The non-orthogonal search
-bisects the MTC rate to RATE_TOL and the target SNR to GAMMA_REL_TOL. The
-broadband error count is not monotone in the target SNR (a strong
-broadband signal is decoded and removed early), so the target-SNR
-bisection returns the feasible end of a bracket around one
+bisects the MTC rate to RATE_TOL up to that endpoint and the target SNR to
+GAMMA_REL_TOL; one predicate decides its feasibility and that of the
+device-count search. The broadband error count is not monotone in the
+target SNR (a strong broadband signal is decoded and removed early), so
+the target-SNR bisection returns the feasible end of a bracket around one
 infeasible-to-feasible crossing, which need not be the smallest feasible
 value.
 """
@@ -152,10 +153,8 @@ def _gamma_bracket(op: EmbbOperatingPoint, r_B: float) -> Optional[Tuple[float, 
     unit-average-power bound); None when it is empty."""
     thr_B = 2.0**r_B - 1.0
     hi = op.gamma_tar
-    if hi <= thr_B * (1.0 + 1e-12) + 1e-300:
-        return None
     lo = thr_B + (hi - thr_B) * 1e-9
-    return lo, hi
+    return (lo, hi) if lo > thr_B else None
 
 
 def min_feasible_gamma_tar(
@@ -195,6 +194,18 @@ def min_feasible_gamma_tar(
     return hi
 
 
+def _accepted_gamma(table: TrialTable, r_B: float, r_M: float) -> Optional[float]:
+    """The target SNR accepted at (r_B, r_M) on the table: the one
+    `min_feasible_gamma_tar` returns, when the MTC outage at it meets eps_M;
+    None when the rate pair is infeasible."""
+    cfg = table.cfg
+    g = min_feasible_gamma_tar(cfg, r_B, r_M, table=table)
+    if g is None:
+        return None
+    mm_err = table.nonorth_error_counts(r_M, r_B, g)[0]
+    return g if mm_err / (cfg.M * cfg.trials) <= cfg.eps_M else None
+
+
 def max_mmtc_rate_nonorth(
     cfg: SystemConfig,
     r_B: float,
@@ -206,8 +217,10 @@ def max_mmtc_rate_nonorth(
 
     A rate is feasible when `min_feasible_gamma_tar` finds a target SNR
     keeping the broadband error within eps_B and, at that SNR, the MTC
-    outage stays within eps_M. The rate is bisected to RATE_TOL from the
-    orthogonal endpoint plus RATE_TOL. Returns (0.0, cap SNR) when the
+    outage stays within eps_M. The rate is bisected to RATE_TOL on
+    [0, orthogonal endpoint + RATE_TOL]: on every trial the non-orthogonal
+    decoded set is a prefix of the orthogonal one, so no rate above the
+    exact orthogonal endpoint is feasible. Returns (0.0, cap SNR) when the
     admissible interval is empty (r_B at the orthogonal outage rate).
     """
     op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
@@ -216,36 +229,17 @@ def max_mmtc_rate_nonorth(
     table = _table_for(cfg, table)
     if _gamma_bracket(op, r_B) is None:
         return 0.0, op.gamma_tar
-
-    def probe(r: float) -> Tuple[bool, Optional[float]]:
-        g = min_feasible_gamma_tar(cfg, r_B, r, table=table)
-        if g is None:
-            return False, None
-        mm_err = table.nonorth_error_counts(r, r_B, g)[0]
-        return mm_err / (cfg.M * cfg.trials) <= cfg.eps_M, g
-
-    ok0, g0 = probe(0.0)
-    if not ok0:
-        # unreachable analytically (rate zero never fails); keep the floor
-        return 0.0, g0 if g0 is not None else op.gamma_tar
-    best_r, best_g = 0.0, g0
-    hi = max(max_mmtc_rate_orth(cfg, table=table) + RATE_TOL, RATE_TOL)
-    ok_hi, g_hi = probe(hi)
-    while ok_hi:
-        best_r, best_g = hi, g_hi
-        hi *= 2.0
-        if hi > RATE_CAP:
-            warnings.warn("non-orthogonal mMTC rate search hit the rate cap")
-            return best_r, best_g
-        ok_hi, g_hi = probe(hi)
-    lo = best_r
+    # rate 0 is always feasible: every device decodes with the broadband
+    # signal pending, which is then decoded interference-free
+    lo, best_g = 0.0, min_feasible_gamma_tar(cfg, r_B, 0.0, table=table)
+    hi = max_mmtc_rate_orth(cfg, table=table) + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        ok, g = probe(mid)
-        if ok:
-            lo, best_g = mid, g
-        else:
+        g = _accepted_gamma(table, r_B, mid)
+        if g is None:
             hi = mid
+        else:
+            lo, best_g = mid, g
     return lo, best_g
 
 
@@ -308,14 +302,9 @@ def max_devices(
 
     def feasible(m: int) -> bool:
         table = build_trial_table(replace(cfg, M=m), workers=workers)
-        if mode == "orthogonal":
-            errors = table.mmtc_orth_error_count(required)
-        else:
-            g = min_feasible_gamma_tar(table.cfg, r_B, r_M, table=table)
-            if g is None:
-                return False
-            errors = table.nonorth_error_counts(r_M, r_B, g)[0]
-        return errors / (m * cfg.trials) <= cfg.eps_M
+        if mode == "non_orthogonal":
+            return _accepted_gamma(table, r_B, r_M) is not None
+        return table.mmtc_orth_error_count(required) / (m * cfg.trials) <= cfg.eps_M
 
     if not feasible(1):
         return 0

@@ -208,6 +208,28 @@ class TestRunOutage:
         with pytest.raises(ConfigError, match="r_M"):
             run_outage(spec)
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["r_B = 2.0\ngamma_tar = 3.0\n", "r_B = 12.0\n"],
+        ids=["gamma_tar_at_threshold", "r_B_past_outage_rate"],
+    )
+    def test_inadmissible_target_snr_is_2(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "snr.cfg"
+        cfg.write_text(GOOD_CONFIG + "mode = nonorth\nr_M = 0.5\n" + extra)
+        assert main(["outage", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "gamma_tar" in err and "r_B" in err
+
+    def test_inadmissible_later_antenna_count_builds_nothing(self, monkeypatch):
+        # r_B = 5 is below r_B_out at L = 8 but above it at L = 1
+        built, build = [], slicesim.cli.build_trial_table
+        counting = lambda cfg, **kw: built.append(cfg.L) or build(cfg, **kw)  # noqa: E731
+        monkeypatch.setattr(slicesim.cli, "build_trial_table", counting)
+        text = GOOD_CONFIG.replace("L = 2", "L = 8,1") + "mode = nonorth\nr_M = 0.5\nr_B = 5.0\n"
+        with pytest.raises(ConfigError, match="L = 1"):
+            run_outage(parse_spec("outage", text))
+        assert built == []
+
     def test_one_table_per_antenna_count(self, monkeypatch):
         built, build = [], slicesim.cli.build_trial_table
         counting = lambda cfg, **kw: built.append(cfg.L) or build(cfg, **kw)  # noqa: E731
@@ -215,6 +237,32 @@ class TestRunOutage:
         text = GOOD_CONFIG.replace("L = 2", "L = 1,2") + "mode = both\nr_M = 0.5\nr_B = 1.0\n"
         run_outage(parse_spec("outage", text))
         assert built == [1, 2]  # mode both evaluates both slicing modes on one table
+
+
+class TestRunMaxDevices:
+    def test_csv_through_main(self, tmp_path):
+        cfg = tmp_path / "md.cfg"
+        cfg.write_text(GOOD_CONFIG + "mode = both\nr_b_points = 3\nr_M = 0.25\n")
+        out = tmp_path / "md.csv"
+        assert main(["max-devices", "--config", str(cfg), "--trials", "300", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.splitlines()[0] == "mode,L,r_B,M_max"
+        rows = rows_of(text)
+        assert [row["mode"] for row in rows] == ["orth"] * 3 + ["nonorth"] * 3
+        orth, nonorth = rows[:3], rows[3:]
+        assert float(orth[0]["r_B"]) == 0.0 and float(orth[-1]["r_B"]) > 0.0
+        # r_B = 0: no time-sharing and a vanishing broadband target SNR,
+        # both modes decode the same devices
+        assert int(orth[0]["M_max"]) == int(nonorth[0]["M_max"]) >= 1
+        # r_B = r_B_out: no slot time left, and an empty target-SNR interval
+        assert int(orth[-1]["M_max"]) == int(nonorth[-1]["M_max"]) == 0
+
+    @pytest.mark.parametrize("r_M", ["0.0", "-0.25"])
+    def test_nonpositive_rate_is_2(self, tmp_path, capsys, r_M):
+        cfg = tmp_path / "md.cfg"
+        cfg.write_text(GOOD_CONFIG + f"r_b_points = 3\nr_M = {r_M}\n")
+        assert main(["max-devices", "--config", str(cfg)]) == 2
+        assert "r_M" in capsys.readouterr().err
 
 
 class TestMainExitCodes:

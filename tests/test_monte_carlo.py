@@ -51,13 +51,25 @@ class TestRouteEquivalence:
             )
             assert fast == ref
 
-    @pytest.mark.parametrize("L,M", [(1, 3), (2, 5), (4, 2), (12, 300)])
+    @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 300)])
     def test_nonorthogonal_counts(self, L, M):
-        # M = 300 takes 44-trial chunks: its 60 trials span two of them
+        # M = 300 takes 44-trial chunks: its 60 trials span two of them.
+        # r_M = 0 decodes every device first, so the broadband attempt comes
+        # last; M = 1 puts every other attempt at the last SIC position
         cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 60)
         table = build_trial_table(cfg)
         reals = [draw_realization(cfg, t) for t in range(cfg.trials)]
-        cases = [(0.3, 1.0, 12.0), (0.8, 2.5, 40.0), (0.1, 0.0, 1e-9), (1.5, 4.0, 200.0)]
+        cases = [
+            (0.3, 1.0, 12.0), (0.8, 2.5, 40.0), (0.1, 0.0, 1e-9), (1.5, 4.0, 200.0),
+            (0.0, 1.0, 12.0),
+        ]
+        # random probes: target SNRs from just above 2^r_B - 1 to ~150 times it
+        rng = np.random.default_rng(L * 1000 + M)
+        for _ in range(8):
+            r_M = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.5))
+            r_B = float(rng.uniform(0.0, 5.0))
+            gamma = (2.0**r_B - 1.0) * float(np.exp(rng.uniform(1e-9, 5.0))) + 1e-9
+            cases.append((r_M, r_B, gamma))
         for r_M, r_B, gamma in cases:
             mm_fast, eb_fast = table.nonorth_error_counts(r_M, r_B, gamma)
             mm_ref = eb_ref = 0
@@ -168,6 +180,18 @@ class TestNonOrthogonalEstimator:
             for gamma in (5.0, 50.0, 300.0):
                 mm, _ = table.nonorth_error_counts(r_M, 2.0, gamma)
                 assert mm >= orth
+
+    @pytest.mark.parametrize("L,M", [(1, 1), (1, 6), (4, 8), (8, 10), (16, 20)])
+    def test_mmtc_error_dominates_orthogonal_sweep(self, L, M):
+        # the same containment at any rate pair and admissible target SNR;
+        # the non-orthogonal rate search stops at the orthogonal endpoint on it
+        table = build_trial_table(make_cfg(L=L, M=M, trials=1500))
+        for r_M in np.linspace(0.0, 2.5, 11):
+            orth = table.mmtc_orth_error_count(r_M)
+            for r_B in (0.0, 2.0, 4.0):
+                for gamma in np.geomspace(2.0**r_B - 1.0 + 1e-6, 1e4, 7):
+                    mm, _ = table.nonorth_error_counts(r_M, r_B, gamma)
+                    assert mm >= orth
 
     def test_mmtc_monotone_in_rate_exactly(self):
         # at fixed broadband power, raising the MTC rate can only shrink each

@@ -131,6 +131,18 @@ class TestMaxMmtcRateNonorth:
         assert r_M == 0.0
         assert gamma == pytest.approx(op.gamma_tar)
 
+    def test_rate_just_below_outage_rate_degenerates(self):
+        # so close to r_B_out that the lower end of the admissible target-SNR
+        # interval rounds onto 2^r_B - 1: the interval is empty, not an error
+        cfg = make_cfg(trials=500)
+        table = build_trial_table(cfg)
+        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        for rel in (1e-8, 1e-10, 1e-12):
+            r_B = op.r_B_out * (1.0 - rel)
+            assert max_mmtc_rate_nonorth(cfg, r_B, table=table) == (0.0, op.gamma_tar)
+            assert min_feasible_gamma_tar(cfg, r_B, 0.25, table=table) is None
+            assert max_devices(cfg, 0.25, r_B, "non_orthogonal") == 0
+
     def test_rejects_rate_beyond_outage_rate(self):
         cfg = make_cfg(trials=500)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
