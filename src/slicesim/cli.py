@@ -296,6 +296,10 @@ def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
         raise ConfigError("config field 'r_M' is required for the outage command")
     if spec.mode in ("nonorth", "both") and spec.r_B is None:
         raise ConfigError("config field 'r_B' is required for non-orthogonal outage")
+    for name in ("r_M", "r_B"):
+        value = getattr(spec, name)
+        if value is not None and value < 0:
+            raise ConfigError(f"config field {name!r} must be nonnegative, got {value}")
     gammas = {}
     if spec.mode in ("nonorth", "both"):
         for L in spec.L_values:
@@ -373,17 +377,20 @@ def run_max_devices(spec: ExperimentSpec, out: Optional[str] = None, workers: in
     r_M = spec.r_M if spec.r_M is not None else 0.25
     if r_M <= 0:
         raise ConfigError(f"config field 'r_M' must be positive, got {r_M}")
+    tokens = {"orthogonal": "orth", "non_orthogonal": "nonorth"}
     rows = []
     for L in spec.L_values:
         cfg = _cfg_for(spec, L)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         grid = np.linspace(0.0, op.r_B_out, spec.r_b_points)
-        for mode_token, mode in (("orth", "orthogonal"), ("nonorth", "non_orthogonal")):
-            if spec.mode not in (mode_token, "both"):
-                continue
-            for r_B in grid:
-                m_max = max_devices(cfg, r_M, float(r_B), mode, workers=workers)
-                rows.append((mode_token, L, float(r_B), m_max))
+        points = [
+            (float(r_B), mode)
+            for mode, token in tokens.items()
+            if spec.mode in (token, "both")
+            for r_B in grid
+        ]
+        m_max = max_devices(cfg, r_M, points, workers=workers)
+        rows.extend((tokens[mode], L, r_B, m) for (r_B, mode), m in zip(points, m_max))
     return _write_csv(["mode", "L", "r_B", "M_max"], rows, out)
 
 

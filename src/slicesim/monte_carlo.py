@@ -170,7 +170,7 @@ def _table_chunk(cfg: SystemConfig, t0: int, t1: int):
     order = np.argsort(-c, axis=1, kind="stable")
     G = np.take_along_axis(G, order[:, :, None], axis=1)
     c = np.take_along_axis(c, order, axis=1)
-    cross = np.einsum("tml,tnl->tmn", G, G.conj())
+    cross = G @ G.conj().transpose(0, 2, 1)  # BLAS batched Gram block
     cross = cross.real**2 + cross.imag**2
     upper = np.triu(np.ones((M, M)), k=1)
     interf = cfg.P_M * np.einsum("tmn,mn->tm", cross, upper)
@@ -187,18 +187,22 @@ def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
 
     Per-trial keyed streams make the result independent of chunking and of
     `workers`, which only bounds the thread pool used across chunks. Raises
-    MemoryError, before allocating, when the table plus one chunk's Gram
-    block exceeds the machine's physical memory.
+    MemoryError, before allocating, when the table plus the larger of one
+    chunk's Gram block and one count pass's temporaries exceeds the machine's
+    physical memory.
     """
     T, M = cfg.trials, cfg.M
     step = _chunk_size(M)
     table_bytes = T * (6 * M + 1) * 8  # six (T, M) arrays and d, float64
     gram_bytes = min(step, T) * M * M * 16
+    # a `nonorth_error_counts` pass peaks at about two (T, M) float64 arrays
+    eval_bytes = 2 * T * M * 8
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if table_bytes + gram_bytes > physical:
+    if table_bytes + max(gram_bytes, eval_bytes) > physical:
         raise MemoryError(
             f"trial table of {table_bytes} bytes plus a chunk Gram of {gram_bytes} "
-            f"bytes exceeds the {physical} bytes of physical memory"
+            f"bytes or count temporaries of {eval_bytes} bytes exceeds the "
+            f"{physical} bytes of physical memory"
         )
     c = np.empty((T, M))
     interf = np.empty((T, M))

@@ -14,18 +14,22 @@ within eps_B (smaller target SNR means less interference onto the MTC
 devices, so the MTC constraint is checked at that value). The target SNR
 is capped by the unit-average-power value of the orthogonal analysis.
 
-All searches share one trial table (common random numbers) and test
-feasibility on its exact error counts as `errors / n <= eps`. The
-orthogonal MTC endpoint is read exactly from the table: the largest rate
-whose outage meets eps_M follows from one order statistic of the
-running-minimum SINRs, with no tolerance. The non-orthogonal search
-bisects the MTC rate to RATE_TOL up to that endpoint and the target SNR to
-GAMMA_REL_TOL; one predicate decides its feasibility and that of the
-device-count search. The broadband error count is not monotone in the
+The rate searches of one scenario share one trial table (common random
+numbers), and every search tests feasibility on exact error counts as
+`errors / n <= eps`. The orthogonal MTC endpoint is read exactly from the
+table: the largest rate whose outage meets eps_M follows from one order
+statistic of the running-minimum SINRs, with no tolerance. The
+non-orthogonal search bisects the MTC rate to RATE_TOL up to that endpoint
+and the target SNR to GAMMA_REL_TOL; one predicate decides its feasibility
+and that of the device-count search. The broadband error count is not monotone in the
 target SNR (a strong broadband signal is decoded and removed early), so
 the target-SNR bisection returns the feasible end of a bracket around one
 infeasible-to-feasible crossing, which need not be the smallest feasible
 value.
+
+The device-count search needs a table per probed device count. It answers
+all (r_B, mode) points of one antenna count together, so each count is
+built once and only one table is alive at a time.
 """
 
 from __future__ import annotations
@@ -268,57 +272,79 @@ def nonorthogonal_region(
     return points
 
 
+def _next_count(lo: int, hi: Optional[int]) -> Optional[int]:
+    """Next device count to probe in the bracket (lo feasible, hi not; hi None
+    while doubling), or None once lo and hi are adjacent."""
+    if hi is None:
+        return max(1, 2 * lo)
+    return (lo + hi) // 2 if hi - lo > 1 else None
+
+
+def _count_feasible(table: TrialTable, r_M: float, r_B: float, mode: str) -> bool:
+    """Whether the table's device count meets both targets at (r_M, r_B);
+    in orthogonal mode r_M is the rate during the MTC fraction of the slot."""
+    if mode == "non_orthogonal":
+        return _accepted_gamma(table, r_B, r_M) is not None
+    cfg = table.cfg
+    return table.mmtc_orth_error_count(r_M) / (cfg.M * cfg.trials) <= cfg.eps_M
+
+
 def max_devices(
     cfg: SystemConfig,
     r_M: float,
-    r_B: float,
-    mode: str,
+    points: Sequence[Tuple[float, str]],
     *,
     workers: int = 1,
-) -> int:
-    """Largest number of MTC devices supportable at (r_M, r_B) in the given
-    mode; cfg.M is a template value and is replaced during the search.
+) -> List[int]:
+    """Largest number of MTC devices supportable at r_M and each
+    (r_B, mode) point; cfg.M is a template value and is replaced during the
+    search.
 
     Orthogonal mode allocates the slot fraction implied by r_B and requires
     the per-device rate r_M / (1 - alpha) during the MTC fraction; a
     broadband rate at or past the outage rate leaves no time for MTC and
-    yields 0. Geometric growth brackets the answer, then binary search,
-    assuming feasibility is monotone in the device count. Each probed count
-    gets its own trial table, built with `workers` threads.
+    yields 0. Per point, doubling from M = 1 brackets the answer, then
+    binary search, assuming feasibility is monotone in the device count.
+    The points share their tables: each probed count gets one table, built
+    with `workers` threads, on which every point probing that count is
+    answered. The table is then dropped, so one table is alive at a time.
+    Each point's probes and result are those of a search on its own.
     """
     if r_M <= 0:
         raise ValueError(f"r_M must be positive, got {r_M}")
     op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-    if mode == "orthogonal":
-        alpha = r_B / op.r_B_out
-        if alpha >= 1.0:
-            return 0
-        required = r_M / (1.0 - alpha)
-    elif mode == "non_orthogonal":
-        if _gamma_bracket(op, r_B) is None:
-            return 0
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def feasible(m: int) -> bool:
-        table = build_trial_table(replace(cfg, M=m), workers=workers)
-        if mode == "non_orthogonal":
-            return _accepted_gamma(table, r_B, r_M) is not None
-        return table.mmtc_orth_error_count(required) / (m * cfg.trials) <= cfg.eps_M
-
-    if not feasible(1):
-        return 0
-    lo, hi = 1, 2
-    while hi <= M_CAP and feasible(hi):
-        lo = hi
-        hi *= 2
-    if hi > M_CAP:
-        warnings.warn(f"device search hit the cap M = {M_CAP}")
-        return lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            lo = mid
+    searches = {}  # point index -> (r_M, r_B, mode) its tables are tested at
+    for i, (r_B, mode) in enumerate(points):
+        if mode == "orthogonal":
+            alpha = r_B / op.r_B_out
+            if alpha < 1.0:
+                searches[i] = (r_M / (1.0 - alpha), r_B, mode)
+        elif mode == "non_orthogonal":
+            if _gamma_bracket(op, r_B) is not None:
+                searches[i] = (r_M, r_B, mode)
         else:
-            hi = mid
-    return lo
+            raise ValueError(f"unknown mode {mode!r}")
+
+    # Every point walks one probe tree (doubling, then bisection), on which
+    # each count has one place. So all the points that ever probe a count are
+    # waiting on it when it is first built, and no count is built twice.
+    brackets = {i: [0, None] for i in searches}  # lo feasible, hi not or None
+    while True:
+        waiting = {}
+        for i, bracket in brackets.items():
+            m = _next_count(*bracket)
+            if m is not None and m <= M_CAP:
+                waiting.setdefault(m, []).append(i)
+        if not waiting:
+            break
+        m = min(waiting)
+        table = build_trial_table(replace(cfg, M=m), workers=workers)
+        for i in waiting[m]:
+            brackets[i][0 if _count_feasible(table, *searches[i]) else 1] = m
+        del table  # before the next build: one table alive at a time
+    result = [0] * len(points)
+    for i, (lo, hi) in brackets.items():
+        if hi is None:
+            warnings.warn(f"device search hit the cap M = {M_CAP}")
+        result[i] = lo
+    return result

@@ -192,16 +192,13 @@ def test_c09_diversity_monotonicity():
         r_out.append(max_mmtc_rate_orth(cfg, table=build_trial_table(cfg, workers=WORKERS)))
     rates_ok = all(a <= b for a, b in zip(r_out, r_out[1:]))
 
-    m_by_mode = {}
-    for mode in ("orthogonal", "non_orthogonal"):
-        values = []
-        for L in L_SWEEP:
-            cfg = paper_cfg(L, trials=30_000)
-            op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-            values.append(
-                max_devices(cfg, 0.25, 0.5 * op.r_B_out, mode, workers=WORKERS)
-            )
-        m_by_mode[mode] = values
+    m_by_mode = {"orthogonal": [], "non_orthogonal": []}
+    for L in L_SWEEP:
+        cfg = paper_cfg(L, trials=30_000)
+        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        points = [(0.5 * op.r_B_out, mode) for mode in m_by_mode]
+        for (_, mode), m in zip(points, max_devices(cfg, 0.25, points, workers=WORKERS)):
+            m_by_mode[mode].append(m)
     devices_ok = all(
         all(a <= b for a, b in zip(vals, vals[1:])) for vals in m_by_mode.values()
     )

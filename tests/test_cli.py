@@ -7,6 +7,7 @@ import math
 import pytest
 
 import slicesim.cli
+import slicesim.slicing_search
 from slicesim.cli import (
     ConfigError,
     PRESETS,
@@ -230,6 +231,23 @@ class TestRunOutage:
             run_outage(parse_spec("outage", text))
         assert built == []
 
+    @pytest.mark.parametrize(
+        "mode, rates",
+        [("orth", "r_M = -0.5\n"), ("nonorth", "r_M = 0.5\nr_B = -0.5\n")],
+        ids=["r_M", "r_B"],
+    )
+    def test_negative_rate_is_2_before_any_build(self, tmp_path, capsys, monkeypatch,
+                                                 mode, rates):
+        built, build = [], slicesim.cli.build_trial_table
+        counting = lambda cfg, **kw: built.append(cfg.L) or build(cfg, **kw)  # noqa: E731
+        monkeypatch.setattr(slicesim.cli, "build_trial_table", counting)
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(GOOD_CONFIG + f"mode = {mode}\n" + rates)
+        assert main(["outage", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "-0.5" in err
+        assert built == []
+
     def test_one_table_per_antenna_count(self, monkeypatch):
         built, build = [], slicesim.cli.build_trial_table
         counting = lambda cfg, **kw: built.append(cfg.L) or build(cfg, **kw)  # noqa: E731
@@ -256,6 +274,21 @@ class TestRunMaxDevices:
         assert int(orth[0]["M_max"]) == int(nonorth[0]["M_max"]) >= 1
         # r_B = r_B_out: no slot time left, and an empty target-SNR interval
         assert int(orth[-1]["M_max"]) == int(nonorth[-1]["M_max"]) == 0
+
+    def test_one_table_per_device_count(self, tmp_path, monkeypatch):
+        # every r_B point and both modes share the tables of one antenna count
+        built, build = [], slicesim.slicing_search.build_trial_table
+        counting = lambda cfg, **kw: built.append((cfg.L, cfg.M)) or build(cfg, **kw)  # noqa: E731
+        monkeypatch.setattr(slicesim.slicing_search, "build_trial_table", counting)
+        cfg = tmp_path / "md.cfg"
+        cfg.write_text(
+            GOOD_CONFIG.replace("L = 2", "L = 1,4") + "mode = both\nr_b_points = 4\nr_M = 0.25\n"
+        )
+        out = tmp_path / "md.csv"
+        assert main(["max-devices", "--config", str(cfg), "--trials", "300", "--out", str(out)]) == 0
+        assert len(rows_of(out.read_text())) == 16
+        assert {L for L, _ in built} == {1, 4}
+        assert len(built) == len(set(built))
 
     @pytest.mark.parametrize("r_M", ["0.0", "-0.25"])
     def test_nonpositive_rate_is_2(self, tmp_path, capsys, r_M):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from slicesim import monte_carlo
 from slicesim.channel import SystemConfig, draw_realization
 from slicesim.monte_carlo import OutageEstimate, build_trial_table, wilson_half_width
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
@@ -113,6 +114,23 @@ class TestDeterminism:
     def test_table_over_physical_memory_raises_before_allocating(self):
         with pytest.raises(MemoryError, match="physical memory"):
             build_trial_table(make_cfg(M=4096, trials=10**8))
+
+    def test_memory_check_counts_the_count_pass(self, monkeypatch):
+        # at M = 1 and T = 32768 the table is 7 * T * 8 bytes, a chunk's Gram
+        # block 16384 * 16 bytes, and one count pass's temporaries 2 * T * 8
+        # bytes: the table and its Gram fit, the table and its evaluation not
+        T = 32768
+        need = 7 * T * 8 + 2 * T * 8
+
+        def physical(n):
+            sysconf = lambda name: n if name == "SC_PHYS_PAGES" else 1  # noqa: E731
+            monkeypatch.setattr(monte_carlo.os, "sysconf", sysconf)
+
+        physical(need - 1)
+        with pytest.raises(MemoryError, match="count temporaries"):
+            build_trial_table(make_cfg(M=1, trials=T))
+        physical(need)
+        assert build_trial_table(make_cfg(M=1, trials=T)).c.shape == (T, 1)
 
     def test_seed_changes_estimates(self):
         r = 0.62

@@ -2,6 +2,7 @@
 protocol runs live in the acceptance suite)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ class TestMaxMmtcRateNonorth:
             r_B = op.r_B_out * (1.0 - rel)
             assert max_mmtc_rate_nonorth(cfg, r_B, table=table) == (0.0, op.gamma_tar)
             assert min_feasible_gamma_tar(cfg, r_B, 0.25, table=table) is None
-            assert max_devices(cfg, 0.25, r_B, "non_orthogonal") == 0
+            assert max_devices(cfg, 0.25, [(r_B, "non_orthogonal")]) == [0]
 
     def test_rejects_rate_beyond_outage_rate(self):
         cfg = make_cfg(trials=500)
@@ -197,23 +198,21 @@ class TestMaxDevices:
     def test_orthogonal_no_time_left(self):
         cfg = make_cfg(trials=500)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-        assert max_devices(cfg, 0.25, op.r_B_out, "orthogonal") == 0
-        assert max_devices(cfg, 0.25, op.r_B_out * 1.3, "orthogonal") == 0
+        points = [(op.r_B_out, "orthogonal"), (op.r_B_out * 1.3, "orthogonal")]
+        assert max_devices(cfg, 0.25, points) == [0, 0]
 
     def test_rejects_nonpositive_rate_and_bad_mode(self):
         cfg = make_cfg(trials=500)
         with pytest.raises(ValueError):
-            max_devices(cfg, 0.0, 0.5, "orthogonal")
+            max_devices(cfg, 0.0, [(0.5, "orthogonal")])
         with pytest.raises(ValueError):
-            max_devices(cfg, 0.25, 0.5, "tdma")
+            max_devices(cfg, 0.25, [(0.5, "tdma")])
 
     def test_orthogonal_against_linear_scan_oracle(self):
         cfg = make_cfg(L=2, trials=6000)
-        got = max_devices(cfg, 0.25, 0.0, "orthogonal")
+        (got,) = max_devices(cfg, 0.25, [(0.0, "orthogonal")])
         assert got >= 1
         # oracle: evaluate every candidate directly with the estimator
-        from dataclasses import replace
-
         def feasible(m):
             errors = build_trial_table(replace(cfg, M=m)).mmtc_orth_error_count(0.25)
             return errors / (m * cfg.trials) <= cfg.eps_M
@@ -227,15 +226,75 @@ class TestMaxDevices:
     def test_single_device_infeasible_gives_zero(self):
         # demand an absurd per-device rate so even M = 1 fails
         cfg = make_cfg(trials=2000)
-        assert max_devices(cfg, 40.0, 0.0, "orthogonal") == 0
+        assert max_devices(cfg, 40.0, [(0.0, "orthogonal")]) == [0]
 
     def test_nonorthogonal_small_case_positive(self):
         cfg = make_cfg(L=4, trials=6000)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-        m = max_devices(cfg, 0.25, 0.2 * op.r_B_out, "non_orthogonal")
+        (m,) = max_devices(cfg, 0.25, [(0.2 * op.r_B_out, "non_orthogonal")])
         assert m >= 1
 
     def test_nonorthogonal_endpoint_zero(self):
         cfg = make_cfg(trials=2000)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-        assert max_devices(cfg, 0.25, op.r_B_out, "non_orthogonal") == 0
+        assert max_devices(cfg, 0.25, [(op.r_B_out, "non_orthogonal")]) == [0]
+
+    def test_empty_points(self):
+        assert max_devices(make_cfg(trials=500), 0.25, []) == []
+
+    @pytest.mark.parametrize("L", [1, 4, 8])
+    def test_matches_search_point_by_point(self, L, monkeypatch):
+        # the shared search gives, at every point, the count of a search
+        # that runs on its own and builds a new table for every probe
+        import slicesim.slicing_search as search
+
+        cfg = make_cfg(L=L, trials=600)
+        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        points = [
+            (float(r_B), mode)
+            for mode in ("orthogonal", "non_orthogonal")
+            for r_B in np.linspace(0.0, op.r_B_out, 4)
+        ]
+        want = [per_point_max_devices(cfg, 0.25, r_B, mode) for r_B, mode in points]
+        built, build = [], search.build_trial_table
+        counting = lambda c, **kw: built.append(c.M) or build(c, **kw)  # noqa: E731
+        monkeypatch.setattr(search, "build_trial_table", counting)
+        assert max_devices(cfg, 0.25, points) == want
+        assert want[0] == want[4] >= 1 and want[3] == want[7] == 0
+        assert any(m > 0 for m in want[1:3] + want[5:7])
+        assert len(built) == len(set(built))
+
+
+def per_point_max_devices(cfg, r_M, r_B, mode):
+    """The device-count search for one (r_B, mode) point, as it ran before
+    the points shared their tables: every probe builds its own table."""
+    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+    if mode == "orthogonal":
+        alpha = r_B / op.r_B_out
+        if alpha >= 1.0:
+            return 0
+        required = r_M / (1.0 - alpha)
+
+    def feasible(m):
+        table = build_trial_table(replace(cfg, M=m))
+        n = m * cfg.trials
+        if mode == "non_orthogonal":
+            g = min_feasible_gamma_tar(table.cfg, r_B, r_M, table=table)
+            return g is not None and table.nonorth_error_counts(r_M, r_B, g)[0] / n <= cfg.eps_M
+        return table.mmtc_orth_error_count(required) / n <= cfg.eps_M
+
+    if not feasible(1):
+        return 0
+    lo, hi = 1, 2
+    while hi <= 4096 and feasible(hi):
+        lo = hi
+        hi *= 2
+    if hi > 4096:
+        return lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
