@@ -22,16 +22,11 @@ __all__ = [
     "ChannelRealization",
     "draw_realization",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * np.log10(x)
 
 
 @dataclass(frozen=True)

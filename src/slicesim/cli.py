@@ -42,7 +42,6 @@ __all__ = [
     "ConfigError",
     "ExperimentSpec",
     "parse_spec",
-    "serialize_spec",
     "run_embb_analytic",
     "run_outage",
     "run_region",
@@ -205,30 +204,6 @@ def parse_spec(
     return ExperimentSpec(
         scenario=scenario, command=command, L_values=L_values, **experiment
     )
-
-
-def serialize_spec(spec: ExperimentSpec) -> str:
-    """Canonical flat key-value form (linear gains); parse(serialize(s)) == s."""
-    cfg = spec.scenario
-    lines = [
-        f"L = {','.join(str(v) for v in spec.L_values)}",
-        f"M = {cfg.M}",
-        f"gamma_bar_B = {cfg.gamma_bar_B!r}",
-        f"gamma_bar_M = {cfg.gamma_bar_M!r}",
-        f"eps_B = {cfg.eps_B!r}",
-        f"eps_M = {cfg.eps_M!r}",
-        f"P_M = {cfg.P_M!r}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.seed}",
-        f"mode = {spec.mode}",
-        f"alpha_points = {spec.alpha_points}",
-        f"r_b_points = {spec.r_b_points}",
-    ]
-    for key in ("r_M", "r_B", "gamma_tar"):
-        value = getattr(spec, key)
-        if value is not None:
-            lines.append(f"{key} = {value!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _fmt(x) -> str:

@@ -79,6 +79,11 @@ class TrialTable:
       d        (T,)    broadband received power ||g_B||^2
       sigma_no_b (T, M)  MTC SINR chain without broadband interference
       prefix_min (T, M)  running minimum of sigma_no_b along the SIC order
+
+    The (T, M) arrays are column-major (Fortran order): one device
+    position's T values are contiguous. A count pass reduces along the
+    short device axis of every trial, and over contiguous columns those
+    reductions run as vectorized passes instead of strided short rows.
     """
 
     def __init__(self, cfg: SystemConfig, c, interf, b, b_suffix, d, sigma_no_b):
@@ -132,8 +137,10 @@ class TrialTable:
         sig_with_b = (cfg.P_M * self.c * self.c) / (
             self.interf + P_B[:, None] * self.b + self.c
         )
-        # k: devices decoded while the broadband signal is pending
-        k = np.logical_and.accumulate(sig_with_b >= thr_M, axis=1).sum(axis=1)
+        # k: devices decoded while the broadband signal is pending, i.e. the
+        # first device that fails with it pending, or M if none fails
+        ok = sig_with_b >= thr_M
+        k = np.where(ok.all(axis=1), M, ok.argmin(axis=1))
         # the broadband attempt at position k faces devices k.. (b_suffix);
         # at k == M it comes last, interference-free, with SNR P_B * d
         b_k = self.b_suffix[np.arange(T), np.minimum(k, M - 1)]
@@ -204,12 +211,12 @@ def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
             f"bytes or count temporaries of {eval_bytes} bytes exceeds the "
             f"{physical} bytes of physical memory"
         )
-    c = np.empty((T, M))
-    interf = np.empty((T, M))
-    b = np.empty((T, M))
-    b_suffix = np.empty((T, M))
+    c = np.empty((T, M), order="F")
+    interf = np.empty((T, M), order="F")
+    b = np.empty((T, M), order="F")
+    b_suffix = np.empty((T, M), order="F")
     d = np.empty(T)
-    sigma_no_b = np.empty((T, M))
+    sigma_no_b = np.empty((T, M), order="F")
     bounds = [(t0, min(t0 + step, T)) for t0 in range(0, T, step)]
 
     def fill(span):

@@ -25,7 +25,8 @@ and that of the device-count search. The broadband error count is not monotone i
 target SNR (a strong broadband signal is decoded and removed early), so
 the target-SNR bisection returns the feasible end of a bracket around one
 infeasible-to-feasible crossing, which need not be the smallest feasible
-value.
+value. Each probed target SNR costs one count pass: the pass that accepts
+a target SNR also gives the MTC error count checked against eps_M.
 
 The device-count search needs a table per probed device count. It answers
 all (r_B, mode) points of one antenna count together, so each count is
@@ -114,7 +115,8 @@ def max_mmtc_rate_orth(
     while errors / n > cfg.eps_M:
         errors -= 1
     k = n - errors  # >= 1, since r_cap is infeasible
-    thr = float(np.partition(table.prefix_min.ravel(), n - k)[n - k])
+    # order "K" reads the column-major table as it lies, without a copy
+    thr = float(np.partition(table.prefix_min.ravel(order="K"), n - k)[n - k])
     # 0 is feasible and r_cap is not; halve until the two are adjacent doubles
     lo, hi = 0.0, r_cap
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -179,34 +181,51 @@ def min_feasible_gamma_tar(
     bracket = _gamma_bracket(op, r_B)
     if bracket is None:
         return None
+    found = _gamma_search(_table_for(cfg, table), bracket, r_B, r_M)
+    return None if found is None else found[0]
+
+
+def _gamma_search(
+    table: TrialTable, bracket: Tuple[float, float], r_B: float, r_M: float
+) -> Optional[Tuple[float, Tuple[int, int]]]:
+    """The search of `min_feasible_gamma_tar` on a nonempty admissible
+    interval: (target SNR, the `nonorth_error_counts` at it), or None."""
+    cfg = table.cfg
+
+    def counts(g: float) -> Tuple[int, int]:
+        return table.nonorth_error_counts(r_M, r_B, g)
+
+    def embb_ok(errors: Tuple[int, int]) -> bool:
+        return errors[1] / cfg.trials <= cfg.eps_B
+
     lo, hi = bracket
-    table = _table_for(cfg, table)
-
-    def embb_ok(g: float) -> bool:
-        return table.nonorth_error_counts(r_M, r_B, g)[1] / cfg.trials <= cfg.eps_B
-
-    if embb_ok(lo):
-        return lo
-    if not embb_ok(hi):
+    at_lo = counts(lo)
+    if embb_ok(at_lo):
+        return lo, at_lo
+    at_hi = counts(hi)
+    if not embb_ok(at_hi):
         return None
     while hi / lo > 1.0 + GAMMA_REL_TOL:
         mid = float(np.sqrt(lo * hi))
-        if embb_ok(mid):
-            hi = mid
+        at_mid = counts(mid)
+        if embb_ok(at_mid):
+            hi, at_hi = mid, at_mid
         else:
             lo = mid
-    return hi
+    return hi, at_hi
 
 
 def _accepted_gamma(table: TrialTable, r_B: float, r_M: float) -> Optional[float]:
     """The target SNR accepted at (r_B, r_M) on the table: the one
     `min_feasible_gamma_tar` returns, when the MTC outage at it meets eps_M;
-    None when the rate pair is infeasible."""
+    None when the rate pair is infeasible. The MTC count is the one the
+    search computed at that target SNR."""
     cfg = table.cfg
-    g = min_feasible_gamma_tar(cfg, r_B, r_M, table=table)
-    if g is None:
+    bracket = _gamma_bracket(operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B), r_B)
+    found = None if bracket is None else _gamma_search(table, bracket, r_B, r_M)
+    if found is None:
         return None
-    mm_err = table.nonorth_error_counts(r_M, r_B, g)[0]
+    g, (mm_err, _) = found
     return g if mm_err / (cfg.M * cfg.trials) <= cfg.eps_M else None
 
 

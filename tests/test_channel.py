@@ -7,9 +7,12 @@ from slicesim.channel import (
     SystemConfig,
     db_to_linear,
     draw_realization,
-    linear_to_db,
 )
 from slicesim.numerics import RngStream, sample_complex_gaussian_vector
+
+
+def linear_to_db(x):
+    return 10.0 * np.log10(x)
 
 
 def make_cfg(**kw):

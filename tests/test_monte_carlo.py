@@ -8,7 +8,12 @@ import pytest
 
 from slicesim import monte_carlo
 from slicesim.channel import SystemConfig, draw_realization
-from slicesim.monte_carlo import OutageEstimate, build_trial_table, wilson_half_width
+from slicesim.monte_carlo import (
+    OutageEstimate,
+    TrialTable,
+    build_trial_table,
+    wilson_half_width,
+)
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 
 
@@ -89,6 +94,46 @@ class TestRouteEquivalence:
             d = float(np.sum(np.abs(draw_realization(cfg, t).g_B) ** 2))
             assert table.d[t] == pytest.approx(d, rel=1e-12)
             assert gains[t] == pytest.approx(d, rel=1e-12)
+
+
+def first_failures(table, r_M, gamma):
+    """Per trial, the devices decoded while the broadband signal is pending:
+    the length of the leading run of SINRs that reach the threshold."""
+    sig = (table.cfg.P_M * table.c**2) / (
+        table.interf + (gamma / table.d)[:, None] * table.b + table.c
+    )
+    return np.logical_and.accumulate(sig >= 2.0**r_M - 1.0, axis=1).sum(axis=1)
+
+
+class TestColumnMajorLayout:
+    @pytest.mark.parametrize("L,M", [(1, 1), (4, 8), (12, 300)])
+    def test_counts_do_not_depend_on_layout(self, L, M):
+        cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 60)
+        table = build_trial_table(cfg)
+        for name in ("c", "interf", "b", "b_suffix", "sigma_no_b", "prefix_min"):
+            field = getattr(table, name)
+            assert field.shape == (cfg.trials, M) and field.flags.f_contiguous, name
+        fields = ("c", "interf", "b", "b_suffix", "d", "sigma_no_b")
+        rows = TrialTable(cfg, *(np.ascontiguousarray(getattr(table, n)) for n in fields))
+        assert rows.c.flags.c_contiguous and rows.prefix_min.flags.c_contiguous
+        # r_M = 0 decodes every device with the broadband signal pending
+        # (k == M); no device reaches rate 20 (k == 0)
+        probes = [(0.0, 1.0, 12.0), (20.0, 1.0, 12.0)]
+        rng = np.random.default_rng(L * 1000 + M)
+        for _ in range(12):
+            r_M = float(rng.uniform(0.0, 2.5))
+            r_B = float(rng.uniform(0.0, 5.0))
+            gamma = (2.0**r_B - 1.0) * float(np.exp(rng.uniform(1e-9, 5.0))) + 1e-9
+            probes.append((r_M, r_B, gamma))
+        reached = set()
+        for r_M, r_B, gamma in probes:
+            want = rows.nonorth_error_counts(r_M, r_B, gamma)
+            assert table.nonorth_error_counts(r_M, r_B, gamma) == want
+            assert table.mmtc_orth_error_count(r_M) == rows.mmtc_orth_error_count(r_M)
+            k = first_failures(table, r_M, gamma)
+            cases = (("k == 0", k == 0), ("0 < k < M", (k > 0) & (k < M)), ("k == M", k == M))
+            reached |= {case for case, hit in cases if hit.any()}
+        assert reached == {"k == 0", "k == M"} | ({"0 < k < M"} if M > 1 else set())
 
 
 class TestDeterminism:

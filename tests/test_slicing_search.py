@@ -9,8 +9,9 @@ import pytest
 
 from slicesim.channel import SystemConfig
 from slicesim.embb_analysis import operating_point
-from slicesim.monte_carlo import build_trial_table
+from slicesim.monte_carlo import TrialTable, build_trial_table
 from slicesim.slicing_search import (
+    RATE_TOL,
     max_devices,
     max_mmtc_rate_nonorth,
     max_mmtc_rate_orth,
@@ -163,6 +164,43 @@ class TestMaxMmtcRateNonorth:
             for frac in (0.0, 0.05, 0.1, 0.25, 0.75):
                 r_M, _ = max_mmtc_rate_nonorth(cfg, frac * op.r_B_out, table=table)
                 assert r_M <= ceiling
+
+    @pytest.mark.parametrize("L", [1, 8])
+    def test_no_operating_point_is_counted_twice(self, L, monkeypatch):
+        # the count pass that accepts a target SNR also gives the MTC count,
+        # and the search answers as one that counts again at that SNR
+        cfg = make_cfg(L=L, trials=2000)
+        table = build_trial_table(cfg)
+        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        r_B_points = (0.0, 0.1 * op.r_B_out, 0.99 * op.r_B_out)
+        want = [two_pass_max_rate(cfg, r_B, table) for r_B in r_B_points]
+        seen, count = [], TrialTable.nonorth_error_counts
+
+        def counting(self, r_M, r_B, gamma_tar):
+            seen.append((r_M, r_B, gamma_tar))
+            return count(self, r_M, r_B, gamma_tar)
+
+        monkeypatch.setattr(TrialTable, "nonorth_error_counts", counting)
+        for r_B, expected in zip(r_B_points, want):
+            seen.clear()
+            assert max_mmtc_rate_nonorth(cfg, r_B, table=table) == expected
+            assert len(seen) > 1 and len(seen) == len(set(seen)), r_B
+
+
+def two_pass_max_rate(cfg, r_B, table):
+    """The non-orthogonal rate search as it ran before the accepted target
+    SNR kept its counts: every probe counts again at the accepted SNR."""
+    n = cfg.M * cfg.trials
+    lo, best_g = 0.0, min_feasible_gamma_tar(cfg, r_B, 0.0, table=table)
+    hi = max_mmtc_rate_orth(cfg, table=table) + RATE_TOL
+    while hi - lo > RATE_TOL:
+        mid = 0.5 * (lo + hi)
+        g = min_feasible_gamma_tar(cfg, r_B, mid, table=table)
+        if g is not None and table.nonorth_error_counts(mid, r_B, g)[0] / n <= cfg.eps_M:
+            lo, best_g = mid, g
+        else:
+            hi = mid
+    return lo, best_g
 
 
 class TestNonorthogonalRegion:
