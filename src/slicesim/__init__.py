@@ -8,7 +8,6 @@ from .embb_analysis import (
     activation_probability,
     operating_point,
     outage_rate,
-    power_inversion,
     target_snr,
     threshold_snr,
 )
@@ -16,7 +15,6 @@ from .monte_carlo import OutageEstimate, build_trial_table
 from .numerics import (
     RngStream,
     inv_reg_lower_gamma,
-    sample_complex_gaussian_vector,
     upper_incomplete_gamma,
 )
 from .sic_decoder import DecodeOutcome, decode_non_orthogonal, decode_orthogonal, sic_order

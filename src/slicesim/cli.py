@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import SystemConfig, db_to_linear
 from .embb_analysis import operating_point
-from .monte_carlo import OutageEstimate, TrialTable, build_trial_table
+from .monte_carlo import OutageEstimate, build_trial_table
 from .slicing_search import (
     max_devices,
     max_mmtc_rate_orth,
@@ -84,6 +84,10 @@ class ExperimentSpec:
             raise ConfigError(f"alpha_points must be >= 1, got {self.alpha_points}")
         if self.r_b_points < 1:
             raise ConfigError(f"r_b_points must be >= 1, got {self.r_b_points}")
+        if self.command in ("outage", "region") and self.scenario.M < 1:
+            raise ConfigError(
+                f"the {self.command} command needs M >= 1, got {self.scenario.M}"
+            )
 
 
 _SCENARIO_KEYS = {
@@ -197,12 +201,12 @@ def parse_spec(
         raise ConfigError(f"config field {name!r} is required")
     L_values = tuple(merged.pop("L_values"))
     experiment = {k: merged.pop(k) for k in list(merged) if k in _EXPERIMENT_KEYS}
-    try:
-        scenario = SystemConfig(L=L_values[0], **merged)
+    try:  # every antenna count of a sweep, before any command runs
+        scenarios = [SystemConfig(L=L, **merged) for L in L_values]
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentSpec(
-        scenario=scenario, command=command, L_values=L_values, **experiment
+        scenario=scenarios[0], command=command, L_values=L_values, **experiment
     )
 
 
@@ -249,12 +253,12 @@ def run_embb_analytic(spec: ExperimentSpec, out: Optional[str] = None) -> str:
     return _write_csv(["L", "gamma_min", "gamma_tar", "a_B", "r_B_out"], rows, out)
 
 
-def _nonorth_stats(table: TrialTable, r_M: float, r_B: float, gamma: float) -> Tuple:
-    """(eps_B_hat, eps_M_hat, halfwidth_B, halfwidth_M) at one non-orthogonal
-    operating point of the table."""
-    mm_err, eb_err = table.nonorth_error_counts(r_M, r_B, gamma)
-    mm = OutageEstimate.from_counts(mm_err, table.cfg.M * table.cfg.trials)
-    eb = OutageEstimate.from_counts(eb_err, table.cfg.trials)
+def _nonorth_stats(cfg: SystemConfig, counts: Tuple[int, int]) -> Tuple:
+    """(eps_B_hat, eps_M_hat, halfwidth_B, halfwidth_M) from the
+    `nonorth_error_counts` of one non-orthogonal operating point."""
+    mm_err, eb_err = counts
+    mm = OutageEstimate.from_counts(mm_err, cfg.M * cfg.trials)
+    eb = OutageEstimate.from_counts(eb_err, cfg.trials)
     return eb.p_hat, mm.p_hat, eb.half_width_95, mm.half_width_95
 
 
@@ -300,9 +304,10 @@ def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
                  None, est.p_hat, None, est.half_width_95)
             )
         if spec.mode in ("nonorth", "both"):
+            counts = table.nonorth_error_counts(spec.r_M, spec.r_B, gammas[L])
             rows.append(
                 ("nonorth", L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gammas[L]))
-                + _nonorth_stats(table, spec.r_M, spec.r_B, gammas[L])
+                + _nonorth_stats(cfg, counts)
             )
     return _write_csv(_OUTAGE_HEADER, rows, out)
 
@@ -320,26 +325,26 @@ def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
         cfg = _cfg_for(spec, L)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         table = build_trial_table(cfg, workers=workers)
-        r_M_out = max_mmtc_rate_orth(cfg, table=table)
+        r_M_out = max_mmtc_rate_orth(table)
         if spec.mode in ("orth", "both"):
             mm_est = OutageEstimate.from_counts(
                 table.mmtc_orth_error_count(r_M_out), cfg.M * cfg.trials
             )
             alphas = np.linspace(0.0, 1.0, spec.alpha_points)
-            for pt in orthogonal_region(cfg, alphas, r_M_out=r_M_out):
+            for pt in orthogonal_region(cfg, alphas, r_M_out):
                 rows.append(
                     ("orth", L, cfg.M, pt.alpha, None, pt.r_B, pt.r_M,
                      1.0 - op.a_B, mm_est.p_hat, 0.0, mm_est.half_width_95)
                 )
         if spec.mode in ("nonorth", "both"):
-            points = nonorthogonal_region(cfg, n_points=spec.r_b_points, table=table)
-            for pt in points:
-                if pt.gamma_tar > 2.0**pt.r_B - 1.0:
-                    stats = _nonorth_stats(table, pt.r_M, pt.r_B, pt.gamma_tar)
-                else:
+            grid = np.linspace(0.0, op.r_B_out, spec.r_b_points)
+            for pt in nonorthogonal_region(table, grid, r_M_out):
+                if pt.counts is None:
                     # degenerate grid endpoint (r_B at the outage rate): the
                     # accepted rate is 0, where both error probabilities vanish
                     stats = (0.0, 0.0, 0.0, 0.0)
+                else:
+                    stats = _nonorth_stats(cfg, pt.counts)
                 rows.append(
                     ("nonorth", L, cfg.M, None, _fmt_gamma(pt.gamma_tar),
                      pt.r_B, pt.r_M) + stats

@@ -34,7 +34,6 @@ __all__ = [
     "threshold_snr",
     "activation_probability",
     "target_snr",
-    "power_inversion",
     "outage_rate",
     "operating_point",
 ]
@@ -82,18 +81,6 @@ def target_snr(L: int, gamma_min: float, gamma_bar_B: float) -> float:
         raise ValueError(f"gamma_bar_B must be positive, got {gamma_bar_B}")
     denom = upper_incomplete_gamma(L - 1, gamma_min / gamma_bar_B)
     return gamma_bar_B * math.factorial(L - 1) / denom
-
-
-def power_inversion(gamma_B: float, gamma_min: float, gamma_tar: float) -> float:
-    """Instantaneous transmit power: gamma_tar / gamma_B above the threshold
-    (inclusive), zero below it."""
-    if gamma_tar <= 0:
-        raise ValueError(f"gamma_tar must be positive, got {gamma_tar}")
-    if gamma_B < gamma_min:
-        return 0.0
-    if gamma_B == 0.0:
-        raise ValueError("gamma_B = 0 with gamma_min = 0: power inversion diverges")
-    return gamma_tar / gamma_B
 
 
 def outage_rate(gamma_tar: float) -> float:

@@ -77,8 +77,8 @@ class TrialTable:
       b_suffix (T, M)  P_M * sum of b over devices m.. (undecoded-set term
                        seen by a broadband attempt at position m)
       d        (T,)    broadband received power ||g_B||^2
-      sigma_no_b (T, M)  MTC SINR chain without broadband interference
-      prefix_min (T, M)  running minimum of sigma_no_b along the SIC order
+      prefix_min (T, M)  running minimum of the MTC SINR chain without
+                       broadband interference, P_M c^2 / (interf + c)
 
     The (T, M) arrays are column-major (Fortran order): one device
     position's T values are contiguous. A count pass reduces along the
@@ -86,17 +86,14 @@ class TrialTable:
     reductions run as vectorized passes instead of strided short rows.
     """
 
-    def __init__(self, cfg: SystemConfig, c, interf, b, b_suffix, d, sigma_no_b):
+    def __init__(self, cfg: SystemConfig, c, interf, b, b_suffix, d, prefix_min):
         self.cfg = cfg
         self.c = c
         self.interf = interf
         self.b = b
         self.b_suffix = b_suffix
         self.d = d
-        self.sigma_no_b = sigma_no_b
-        self.prefix_min = (
-            np.minimum.accumulate(sigma_no_b, axis=1) if cfg.M else sigma_no_b
-        )
+        self.prefix_min = prefix_min
 
     def mmtc_orth_error_count(self, r_M: float) -> int:
         """Device-slot failures, out of M * trials, under orthogonal
@@ -185,8 +182,8 @@ def _table_chunk(cfg: SystemConfig, t0: int, t1: int):
     b = xb.real**2 + xb.imag**2
     d = np.einsum("tl,tl->t", g_B, g_B.conj()).real
     b_suffix = cfg.P_M * np.cumsum(b[:, ::-1], axis=1)[:, ::-1]
-    sigma_no_b = (cfg.P_M * c * c) / (interf + c)
-    return c, interf, b, b_suffix, d, sigma_no_b
+    prefix_min = np.minimum.accumulate((cfg.P_M * c * c) / (interf + c), axis=1)
+    return c, interf, b, b_suffix, d, prefix_min
 
 
 def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
@@ -200,7 +197,7 @@ def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
     """
     T, M = cfg.trials, cfg.M
     step = _chunk_size(M)
-    table_bytes = T * (6 * M + 1) * 8  # six (T, M) arrays and d, float64
+    table_bytes = T * (5 * M + 1) * 8  # five (T, M) arrays and d, float64
     gram_bytes = min(step, T) * M * M * 16
     # a `nonorth_error_counts` pass peaks at about two (T, M) float64 arrays
     eval_bytes = 2 * T * M * 8
@@ -216,13 +213,13 @@ def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
     b = np.empty((T, M), order="F")
     b_suffix = np.empty((T, M), order="F")
     d = np.empty(T)
-    sigma_no_b = np.empty((T, M), order="F")
+    prefix_min = np.empty((T, M), order="F")
     bounds = [(t0, min(t0 + step, T)) for t0 in range(0, T, step)]
 
     def fill(span):
         t0, t1 = span
         out = _table_chunk(cfg, t0, t1)
-        for dst, src in zip((c, interf, b, b_suffix, d, sigma_no_b), out):
+        for dst, src in zip((c, interf, b, b_suffix, d, prefix_min), out):
             dst[t0:t1] = src
 
     if workers > 1 and len(bounds) > 1:
@@ -231,4 +228,4 @@ def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
     else:
         for span in bounds:
             fill(span)
-    return TrialTable(cfg, c, interf, b, b_suffix, d, sigma_no_b)
+    return TrialTable(cfg, c, interf, b, b_suffix, d, prefix_min)

@@ -16,16 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammainc, gammaincc, gammaincinv, ndtri
+from scipy.special import exp1, gammaincc, gammaincinv, ndtri
 
 __all__ = [
     "RngStream",
     "upper_incomplete_gamma",
     "reg_upper_incomplete_gamma",
-    "reg_lower_incomplete_gamma",
     "inv_reg_lower_gamma",
     "sample_complex_gaussian",
-    "sample_complex_gaussian_vector",
     "keyed_uniforms",
 ]
 
@@ -42,25 +40,15 @@ def _as_order(a) -> int:
     return ia
 
 
-def _regularized_order(a, x) -> int:
+def reg_upper_incomplete_gamma(a: int, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / (a-1)!,
+    integer a >= 1 (scipy.special.gammaincc)."""
     a = _as_order(a)
     if a < 1:
         raise ValueError("regularized form needs a >= 1")
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    return a
-
-
-def reg_upper_incomplete_gamma(a: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / (a-1)!,
-    integer a >= 1 (scipy.special.gammaincc)."""
-    return float(gammaincc(_regularized_order(a, x), x))
-
-
-def reg_lower_incomplete_gamma(a: int, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) = 1 - Q(a, x), integer a >= 1
-    (scipy.special.gammainc)."""
-    return float(gammainc(_regularized_order(a, x), x))
+    return float(gammaincc(a, x))
 
 
 def upper_incomplete_gamma(a: int, x: float) -> float:
@@ -138,13 +126,6 @@ def sample_complex_gaussian(
     z = _normals_from_uniforms(gen.random(2 * length))
     scale = math.sqrt(variance / 2.0)
     return scale * (z[0::2] + 1j * z[1::2])
-
-
-def sample_complex_gaussian_vector(
-    length: int, variance: float, rng: RngStream
-) -> np.ndarray:
-    """Pure keyed variant: the first `length` complex entries of stream `rng`."""
-    return sample_complex_gaussian(rng.generator(), length, variance)
 
 
 def keyed_uniforms(seed: int, first_stream: int, n_streams: int, n_per: int) -> np.ndarray:

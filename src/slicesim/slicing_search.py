@@ -14,19 +14,23 @@ within eps_B (smaller target SNR means less interference onto the MTC
 devices, so the MTC constraint is checked at that value). The target SNR
 is capped by the unit-average-power value of the orthogonal analysis.
 
-The rate searches of one scenario share one trial table (common random
-numbers), and every search tests feasibility on exact error counts as
-`errors / n <= eps`. The orthogonal MTC endpoint is read exactly from the
-table: the largest rate whose outage meets eps_M follows from one order
-statistic of the running-minimum SINRs, with no tolerance. The
-non-orthogonal search bisects the MTC rate to RATE_TOL up to that endpoint
-and the target SNR to GAMMA_REL_TOL; one predicate decides its feasibility
-and that of the device-count search. The broadband error count is not monotone in the
+Every rate search takes the trial table it searches, which carries its
+configuration; the rate searches of one scenario share that table (common
+random numbers), and every search tests feasibility on exact error counts
+as `errors / n <= eps`. The orthogonal MTC endpoint is read exactly from
+the table: the largest rate whose outage meets eps_M follows from one
+order statistic of the running-minimum SINRs, with no tolerance. The
+caller computes it once per table and hands it to the non-orthogonal
+search as its rate ceiling. That search bisects the MTC rate to RATE_TOL
+up to the ceiling and the target SNR to GAMMA_REL_TOL, within a bracket
+fixed once per r_B; one predicate decides its feasibility and that of the
+device-count search. The broadband error count is not monotone in the
 target SNR (a strong broadband signal is decoded and removed early), so
 the target-SNR bisection returns the feasible end of a bracket around one
 infeasible-to-feasible crossing, which need not be the smallest feasible
 value. Each probed target SNR costs one count pass: the pass that accepts
-a target SNR also gives the MTC error count checked against eps_M.
+a target SNR also gives the MTC error count checked against eps_M, and
+the accepted point carries the counts of that pass.
 
 The device-count search needs a table per probed device count. It answers
 all (r_B, mode) points of one antenna count together, so each count is
@@ -57,38 +61,28 @@ __all__ = [
 
 RATE_TOL = 0.01  # bits/s/Hz, below the plot resolution of the target figures
 GAMMA_REL_TOL = 0.01
-RATE_CAP = 64.0
+RATE_CAP = 64.0  # bits/s/Hz, the largest MTC rate `max_mmtc_rate_orth` returns
 M_CAP = 4096  # largest device count `max_devices` probes
+
+Counts = Tuple[int, int]  # `TrialTable.nonorth_error_counts`: (MTC, broadband)
 
 
 @dataclass(frozen=True)
 class RatePoint:
     """An achievable (r_B, r_M) pair with its operating point: the
-    time-sharing fraction for orthogonal points, the accepted broadband
-    target SNR for non-orthogonal ones."""
+    time-sharing fraction for orthogonal points; for non-orthogonal ones the
+    accepted broadband target SNR and the `nonorth_error_counts` of the pass
+    that accepted it (None when the target-SNR interval is empty)."""
 
     r_B: float
     r_M: float
     mode: str  # "orthogonal" | "non_orthogonal"
     alpha: Optional[float] = None
     gamma_tar: Optional[float] = None
+    counts: Optional[Counts] = None
 
 
-def _table_for(cfg: SystemConfig, table: Optional[TrialTable]) -> TrialTable:
-    """The given table, checked against cfg, or a new one-worker build."""
-    if table is None:
-        return build_trial_table(cfg)
-    if table.cfg != cfg:
-        raise ValueError("trial table was built for a different configuration")
-    return table
-
-
-def max_mmtc_rate_orth(
-    cfg: SystemConfig,
-    *,
-    table: Optional[TrialTable] = None,
-    r_cap: float = RATE_CAP,
-) -> float:
+def max_mmtc_rate_orth(table: TrialTable) -> float:
     """Largest common MTC rate meeting the eps_M outage target without
     broadband interference, read exactly from the trial table.
 
@@ -97,28 +91,29 @@ def max_mmtc_rate_orth(
     whose error fraction stays within eps_M, rate r is feasible iff
     2^r - 1 is at most the K-th largest `prefix_min` entry. The result is
     the largest double with that property: it is feasible and the next
-    double is not. Returns r_cap, with a warning, when r_cap is feasible.
+    double is not. Returns RATE_CAP, with a warning, when RATE_CAP is
+    feasible.
     """
+    cfg = table.cfg
     if cfg.M < 1:
         raise ValueError("mMTC rate search needs M >= 1")
-    table = _table_for(cfg, table)
     n = cfg.M * cfg.trials
-    if table.mmtc_orth_error_count(r_cap) / n <= cfg.eps_M:
+    if table.mmtc_orth_error_count(RATE_CAP) / n <= cfg.eps_M:
         warnings.warn(
-            f"mMTC rate search hit the cap {r_cap} bits/s/Hz; "
+            f"mMTC rate search hit the cap {RATE_CAP} bits/s/Hz; "
             "the outage constraint appears non-binding"
         )
-        return r_cap
+        return RATE_CAP
     errors = int(cfg.eps_M * n)  # largest error count with errors / n <= eps_M
     while (errors + 1) / n <= cfg.eps_M:
         errors += 1
     while errors / n > cfg.eps_M:
         errors -= 1
-    k = n - errors  # >= 1, since r_cap is infeasible
+    k = n - errors  # >= 1, since RATE_CAP is infeasible
     # order "K" reads the column-major table as it lies, without a copy
     thr = float(np.partition(table.prefix_min.ravel(order="K"), n - k)[n - k])
-    # 0 is feasible and r_cap is not; halve until the two are adjacent doubles
-    lo, hi = 0.0, r_cap
+    # 0 is feasible and RATE_CAP is not; halve until the two are adjacent doubles
+    lo, hi = 0.0, RATE_CAP
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if 2.0**mid - 1.0 <= thr:
             lo = mid
@@ -128,21 +123,16 @@ def max_mmtc_rate_orth(
 
 
 def orthogonal_region(
-    cfg: SystemConfig,
-    alpha_grid: Sequence[float],
-    *,
-    table: Optional[TrialTable] = None,
-    r_M_out: Optional[float] = None,
+    cfg: SystemConfig, alpha_grid: Sequence[float], r_M_out: float
 ) -> List[RatePoint]:
-    """Time-sharing line: alpha -> (alpha * r_B_out, (1 - alpha) * r_M_out)."""
+    """Time-sharing line: alpha -> (alpha * r_B_out, (1 - alpha) * r_M_out),
+    with r_M_out the orthogonal MTC endpoint (`max_mmtc_rate_orth`)."""
     alphas = list(alpha_grid)
     if not alphas:
         raise ValueError("alpha_grid must not be empty")
     if any(not 0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha_grid values must lie in [0, 1]")
     op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-    if r_M_out is None:
-        r_M_out = max_mmtc_rate_orth(cfg, table=table)
     return [
         RatePoint(
             r_B=a * op.r_B_out,
@@ -173,29 +163,31 @@ def min_feasible_gamma_tar(
     """Small target SNR whose broadband error probability meets eps_B at the
     given rate pair; None if neither end of the admissible interval does.
 
-    Returns the lower end when it is feasible. Otherwise the upper end must
-    be, and the interval is bisected geometrically to GAMMA_REL_TOL; the
-    feasible end of the final bracket is returned.
+    Searches `table`, or, when none is given, a one-worker table built for
+    cfg. Returns the lower end when it is feasible. Otherwise the upper end
+    must be, and the interval is bisected geometrically to GAMMA_REL_TOL;
+    the feasible end of the final bracket is returned.
     """
-    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-    bracket = _gamma_bracket(op, r_B)
+    bracket = _gamma_bracket(operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B), r_B)
     if bracket is None:
         return None
-    found = _gamma_search(_table_for(cfg, table), bracket, r_B, r_M)
+    if table is None:
+        table = build_trial_table(cfg)
+    found = _gamma_search(table, bracket, r_B, r_M)
     return None if found is None else found[0]
 
 
 def _gamma_search(
     table: TrialTable, bracket: Tuple[float, float], r_B: float, r_M: float
-) -> Optional[Tuple[float, Tuple[int, int]]]:
+) -> Optional[Tuple[float, Counts]]:
     """The search of `min_feasible_gamma_tar` on a nonempty admissible
     interval: (target SNR, the `nonorth_error_counts` at it), or None."""
     cfg = table.cfg
 
-    def counts(g: float) -> Tuple[int, int]:
+    def counts(g: float) -> Counts:
         return table.nonorth_error_counts(r_M, r_B, g)
 
-    def embb_ok(errors: Tuple[int, int]) -> bool:
+    def embb_ok(errors: Counts) -> bool:
         return errors[1] / cfg.trials <= cfg.eps_B
 
     lo, hi = bracket
@@ -215,78 +207,72 @@ def _gamma_search(
     return hi, at_hi
 
 
-def _accepted_gamma(table: TrialTable, r_B: float, r_M: float) -> Optional[float]:
-    """The target SNR accepted at (r_B, r_M) on the table: the one
-    `min_feasible_gamma_tar` returns, when the MTC outage at it meets eps_M;
-    None when the rate pair is infeasible. The MTC count is the one the
-    search computed at that target SNR."""
-    cfg = table.cfg
-    bracket = _gamma_bracket(operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B), r_B)
-    found = None if bracket is None else _gamma_search(table, bracket, r_B, r_M)
+def _accepted(
+    table: TrialTable, bracket: Tuple[float, float], r_B: float, r_M: float
+) -> Optional[Tuple[float, Counts]]:
+    """(target SNR, its counts) accepted at (r_B, r_M) on the table: the
+    target SNR that the search over the nonempty admissible interval
+    `bracket` finds within eps_B, when the MTC outage of the same count pass
+    meets eps_M; None when the rate pair is infeasible."""
+    found = _gamma_search(table, bracket, r_B, r_M)
     if found is None:
         return None
-    g, (mm_err, _) = found
-    return g if mm_err / (cfg.M * cfg.trials) <= cfg.eps_M else None
+    cfg = table.cfg
+    return found if found[1][0] / (cfg.M * cfg.trials) <= cfg.eps_M else None
 
 
 def max_mmtc_rate_nonorth(
-    cfg: SystemConfig,
-    r_B: float,
-    *,
-    table: Optional[TrialTable] = None,
-) -> Tuple[float, float]:
+    table: TrialTable, r_B: float, r_M_out: float
+) -> Tuple[float, float, Optional[Counts]]:
     """Largest MTC rate feasible under non-orthogonal slicing at broadband
-    rate r_B, together with the accepted broadband target SNR.
+    rate r_B: (rate, accepted broadband target SNR, the
+    `nonorth_error_counts` of the pass that accepted the pair).
 
-    A rate is feasible when `min_feasible_gamma_tar` finds a target SNR
+    A rate is feasible when the target-SNR search finds a target SNR
     keeping the broadband error within eps_B and, at that SNR, the MTC
     outage stays within eps_M. The rate is bisected to RATE_TOL on
-    [0, orthogonal endpoint + RATE_TOL]: on every trial the non-orthogonal
-    decoded set is a prefix of the orthogonal one, so no rate above the
-    exact orthogonal endpoint is feasible. Returns (0.0, cap SNR) when the
-    admissible interval is empty (r_B at the orthogonal outage rate).
+    [0, r_M_out + RATE_TOL], with r_M_out the table's orthogonal endpoint
+    (`max_mmtc_rate_orth`): on every trial the non-orthogonal decoded set
+    is a prefix of the orthogonal one, so no rate above it is feasible.
+    Returns (0.0, cap SNR, None) when the admissible interval is empty
+    (r_B at the orthogonal outage rate).
     """
+    cfg = table.cfg
     op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
     if r_B < 0 or r_B > op.r_B_out * (1.0 + 1e-12):
         raise ValueError(f"r_B must lie in [0, r_B_out={op.r_B_out:.6f}], got {r_B}")
-    table = _table_for(cfg, table)
-    if _gamma_bracket(op, r_B) is None:
-        return 0.0, op.gamma_tar
+    bracket = _gamma_bracket(op, r_B)
+    if bracket is None:
+        return 0.0, op.gamma_tar, None
     # rate 0 is always feasible: every device decodes with the broadband
     # signal pending, which is then decoded interference-free
-    lo, best_g = 0.0, min_feasible_gamma_tar(cfg, r_B, 0.0, table=table)
-    hi = max_mmtc_rate_orth(cfg, table=table) + RATE_TOL
+    lo, best = 0.0, _accepted(table, bracket, r_B, 0.0)
+    hi = r_M_out + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        g = _accepted_gamma(table, r_B, mid)
-        if g is None:
+        found = _accepted(table, bracket, r_B, mid)
+        if found is None:
             hi = mid
         else:
-            lo, best_g = mid, g
-    return lo, best_g
+            lo, best = mid, found
+    return (lo, *best)
 
 
 def nonorthogonal_region(
-    cfg: SystemConfig,
-    r_B_grid: Optional[Sequence[float]] = None,
-    *,
-    n_points: int = 41,
-    table: Optional[TrialTable] = None,
+    table: TrialTable, r_B_grid: Sequence[float], r_M_out: float
 ) -> List[RatePoint]:
-    """Sweep the broadband rate over [0, r_B_out] (default: n_points evenly
-    spaced values) and search the largest MTC rate at each point."""
-    if r_B_grid is None:
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-        r_B_grid = np.linspace(0.0, op.r_B_out, n_points)
+    """The largest MTC rate at each broadband rate of the grid, searched on
+    the table below its orthogonal endpoint r_M_out."""
     grid = [float(r) for r in r_B_grid]
     if not grid:
         raise ValueError("r_B_grid must not be empty")
-    table = _table_for(cfg, table)
     points = []
     for r_B in grid:
-        r_M, gamma = max_mmtc_rate_nonorth(cfg, r_B, table=table)
+        r_M, gamma, counts = max_mmtc_rate_nonorth(table, r_B, r_M_out)
         points.append(
-            RatePoint(r_B=r_B, r_M=r_M, mode="non_orthogonal", gamma_tar=gamma)
+            RatePoint(
+                r_B=r_B, r_M=r_M, mode="non_orthogonal", gamma_tar=gamma, counts=counts
+            )
         )
     return points
 
@@ -299,11 +285,15 @@ def _next_count(lo: int, hi: Optional[int]) -> Optional[int]:
     return (lo + hi) // 2 if hi - lo > 1 else None
 
 
-def _count_feasible(table: TrialTable, r_M: float, r_B: float, mode: str) -> bool:
-    """Whether the table's device count meets both targets at (r_M, r_B);
-    in orthogonal mode r_M is the rate during the MTC fraction of the slot."""
-    if mode == "non_orthogonal":
-        return _accepted_gamma(table, r_B, r_M) is not None
+def _count_feasible(
+    table: TrialTable, r_M: float, r_B: float, bracket: Optional[Tuple[float, float]]
+) -> bool:
+    """Whether the table's device count meets both targets at (r_M, r_B):
+    non-orthogonal with the target SNR searched in `bracket`, or orthogonal
+    when bracket is None, with r_M the rate during the MTC fraction of the
+    slot."""
+    if bracket is not None:
+        return _accepted(table, bracket, r_B, r_M) is not None
     cfg = table.cfg
     return table.mmtc_orth_error_count(r_M) / (cfg.M * cfg.trials) <= cfg.eps_M
 
@@ -332,15 +322,18 @@ def max_devices(
     if r_M <= 0:
         raise ValueError(f"r_M must be positive, got {r_M}")
     op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-    searches = {}  # point index -> (r_M, r_B, mode) its tables are tested at
+    # point index -> (r_M, r_B, target-SNR bracket) its tables are tested at;
+    # the bracket is None in orthogonal mode
+    searches = {}
     for i, (r_B, mode) in enumerate(points):
         if mode == "orthogonal":
             alpha = r_B / op.r_B_out
             if alpha < 1.0:
-                searches[i] = (r_M / (1.0 - alpha), r_B, mode)
+                searches[i] = (r_M / (1.0 - alpha), r_B, None)
         elif mode == "non_orthogonal":
-            if _gamma_bracket(op, r_B) is not None:
-                searches[i] = (r_M, r_B, mode)
+            gammas = _gamma_bracket(op, r_B)
+            if gammas is not None:
+                searches[i] = (r_M, r_B, gammas)
         else:
             raise ValueError(f"unknown mode {mode!r}")
 

@@ -65,8 +65,8 @@ def fig3_curves():
         cfg = paper_cfg(L)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         table = build_trial_table(cfg, workers=WORKERS)
-        r_M_out = max_mmtc_rate_orth(cfg, table=table)
-        points = nonorthogonal_region(cfg, n_points=41, table=table)
+        r_M_out = max_mmtc_rate_orth(table)
+        points = nonorthogonal_region(table, np.linspace(0.0, op.r_B_out, 41), r_M_out)
         out[L] = (op, r_M_out, points)
     return out
 
@@ -149,7 +149,7 @@ def test_c05_reduction_law():
 def test_c06_single_user_mmtc_calibration():
     closed_form = math.log2(1.0 - GAMMA_M * math.log(1 - EPS_M))
     cfg = paper_cfg(1, M=1, trials=100_000, seed=13)
-    got = max_mmtc_rate_orth(cfg)
+    got = max_mmtc_rate_orth(build_trial_table(cfg))
     ok = abs(got - closed_form) <= 0.02
     record_criterion(6, "single-user mMTC rate vs Rayleigh closed form", ok,
                      f"got {got:.4f}, closed form {closed_form:.4f}")
@@ -189,7 +189,7 @@ def test_c09_diversity_monotonicity():
     r_out = []
     for L in L_SWEEP:
         cfg = paper_cfg(L)
-        r_out.append(max_mmtc_rate_orth(cfg, table=build_trial_table(cfg, workers=WORKERS)))
+        r_out.append(max_mmtc_rate_orth(build_trial_table(cfg, workers=WORKERS)))
     rates_ok = all(a <= b for a, b in zip(r_out, r_out[1:]))
 
     m_by_mode = {"orthogonal": [], "non_orthogonal": []}
@@ -219,7 +219,7 @@ def test_c10_region_geometry(fig3_curves):
     details = []
     for L, (op, r_M_out, points) in fig3_curves.items():
         cfg = paper_cfg(L)
-        orth = orthogonal_region(cfg, np.linspace(0, 1, 41), r_M_out=r_M_out)
+        orth = orthogonal_region(cfg, np.linspace(0, 1, 41), r_M_out)
         r_B_out, r_M_end = orth[-1].r_B, orth[0].r_M
         for pt in orth:
             worst_line = max(

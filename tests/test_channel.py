@@ -8,7 +8,7 @@ from slicesim.channel import (
     db_to_linear,
     draw_realization,
 )
-from slicesim.numerics import RngStream, sample_complex_gaussian_vector
+from slicesim.numerics import RngStream, sample_complex_gaussian
 
 
 def linear_to_db(x):
@@ -83,7 +83,8 @@ class TestDrawRealization:
         # pure sampler and is unaffected by how many MTC columns follow
         cfg = make_cfg()
         real = draw_realization(cfg, 11)
-        direct = sample_complex_gaussian_vector(cfg.L, cfg.gamma_bar_B, RngStream(cfg.seed, 11))
+        gen = RngStream(cfg.seed, 11).generator()
+        direct = sample_complex_gaussian(gen, cfg.L, cfg.gamma_bar_B)
         assert np.array_equal(real.g_B, direct)
         fewer = draw_realization(make_cfg(M=2), 11)
         assert np.array_equal(real.g_B, fewer.g_B)

@@ -17,6 +17,7 @@ from slicesim.cli import (
     run_outage,
     run_region,
 )
+from slicesim.monte_carlo import TrialTable
 
 GOOD_CONFIG = """
 # minimal scenario
@@ -33,6 +34,19 @@ seed = 7
 
 def rows_of(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(L, M) of every trial table built through `cli` or the device search."""
+    built = []
+    for module in (slicesim.cli, slicesim.slicing_search):
+        def counting(cfg, _build=module.build_trial_table, **kw):
+            built.append((cfg.L, cfg.M))
+            return _build(cfg, **kw)
+
+        monkeypatch.setattr(module, "build_trial_table", counting)
+    return built
 
 
 def serialize_spec(spec):
@@ -199,6 +213,36 @@ class TestRunRegion:
         )
         modes = {row["mode"] for row in rows_of(run_region(spec))}
         assert modes == {"orth", "nonorth"}
+
+    def test_one_endpoint_per_table_and_no_recount(self, tmp_path, monkeypatch):
+        # the orthogonal endpoint is read once per table and is the ceiling
+        # of the non-orthogonal search; the rows print the counts the search
+        # accepted, so no operating point of a table is counted twice
+        endpoints, seen = [], []
+        endpoint = slicesim.slicing_search.max_mmtc_rate_orth
+        count = TrialTable.nonorth_error_counts
+
+        def counting_endpoint(*args, **kwargs):
+            endpoints.append(args)
+            return endpoint(*args, **kwargs)
+
+        def counting(self, r_M, r_B, gamma_tar):
+            seen.append((self.cfg.L, r_M, r_B, gamma_tar))
+            return count(self, r_M, r_B, gamma_tar)
+
+        for module in (slicesim.cli, slicesim.slicing_search):
+            monkeypatch.setattr(module, "max_mmtc_rate_orth", counting_endpoint)
+        monkeypatch.setattr(TrialTable, "nonorth_error_counts", counting)
+        cfg = tmp_path / "region.cfg"
+        cfg.write_text(
+            GOOD_CONFIG.replace("L = 2", "L = 1,4")
+            + "mode = both\nalpha_points = 3\nr_b_points = 11\n"
+        )
+        out = tmp_path / "region.csv"
+        assert main(["region", "--config", str(cfg), "--trials", "400", "--out", str(out)]) == 0
+        assert len(rows_of(out.read_text())) == 2 * (3 + 11)
+        assert len(endpoints) == 2  # one per antenna count
+        assert len(seen) > 2 * 11 and len(seen) == len(set(seen))
 
     def test_deterministic_output(self):
         spec = parse_spec(
@@ -370,6 +414,25 @@ class TestMainExitCodes:
         assert main(["region", "--config", str(cfg), "--workers", "1", "--out", str(out1)]) == 0
         assert main(["region", "--config", str(cfg), "--workers", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["embb-analytic", "outage", "region", "max-devices"])
+    def test_every_antenna_count_is_checked_before_any_build(self, tmp_path, capsys, builds,
+                                                           command):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("L = 2", "L = 1,0") + "r_M = 0.5\nr_B = 1.0\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "L must be >= 1, got 0" in err
+        assert builds == []
+
+    @pytest.mark.parametrize("command", ["outage", "region"])
+    def test_no_devices_is_2_before_any_build(self, tmp_path, capsys, builds, command):
+        cfg = tmp_path / "m0.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("M = 3", "M = 0") + "r_M = 0.5\nr_B = 1.0\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "M >= 1" in err
+        assert builds == []
 
     def test_seed_and_trials_flags(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

@@ -11,7 +11,6 @@ from slicesim.embb_analysis import (
     activation_probability,
     operating_point,
     outage_rate,
-    power_inversion,
     target_snr,
     threshold_snr,
 )
@@ -113,22 +112,6 @@ class TestTargetSnr:
             gains = build_trial_table(cfg).d
             mean = float(np.where(gains >= op.gamma_min, op.gamma_tar / gains, 0.0).mean())
             assert mean == pytest.approx(1.0, abs=tol)
-
-
-class TestPowerInversion:
-    def test_below_threshold_silent(self):
-        assert power_inversion(0.05, 0.1, 20.0) == 0.0
-
-    def test_inversion_ratio(self):
-        assert power_inversion(40.0, 0.1, 20.0) == pytest.approx(0.5)
-
-    def test_boundary_transmits(self):
-        assert power_inversion(0.1, 0.1, 20.0) == pytest.approx(200.0)
-
-    def test_zero_gain_zero_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            power_inversion(0.0, 0.0, 20.0)
-        assert power_inversion(0.0, 0.1, 20.0) == 0.0  # below threshold: silent
 
 
 class TestOutageRate:

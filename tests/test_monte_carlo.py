@@ -110,10 +110,10 @@ class TestColumnMajorLayout:
     def test_counts_do_not_depend_on_layout(self, L, M):
         cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 60)
         table = build_trial_table(cfg)
-        for name in ("c", "interf", "b", "b_suffix", "sigma_no_b", "prefix_min"):
+        for name in ("c", "interf", "b", "b_suffix", "prefix_min"):
             field = getattr(table, name)
             assert field.shape == (cfg.trials, M) and field.flags.f_contiguous, name
-        fields = ("c", "interf", "b", "b_suffix", "d", "sigma_no_b")
+        fields = ("c", "interf", "b", "b_suffix", "d", "prefix_min")
         rows = TrialTable(cfg, *(np.ascontiguousarray(getattr(table, n)) for n in fields))
         assert rows.c.flags.c_contiguous and rows.prefix_min.flags.c_contiguous
         # r_M = 0 decodes every device with the broadband signal pending
@@ -147,7 +147,7 @@ class TestDeterminism:
         cfg = make_cfg(trials=3000)
         t1 = build_trial_table(cfg, workers=1)
         t3 = build_trial_table(cfg, workers=3)
-        for name in ("c", "interf", "b", "b_suffix", "d", "sigma_no_b"):
+        for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
             assert np.array_equal(getattr(t1, name), getattr(t3, name))
 
     def test_joint_estimates_deterministic(self):
@@ -161,11 +161,11 @@ class TestDeterminism:
             build_trial_table(make_cfg(M=4096, trials=10**8))
 
     def test_memory_check_counts_the_count_pass(self, monkeypatch):
-        # at M = 1 and T = 32768 the table is 7 * T * 8 bytes, a chunk's Gram
+        # at M = 1 and T = 32768 the table is 6 * T * 8 bytes, a chunk's Gram
         # block 16384 * 16 bytes, and one count pass's temporaries 2 * T * 8
         # bytes: the table and its Gram fit, the table and its evaluation not
         T = 32768
-        need = 7 * T * 8 + 2 * T * 8
+        need = 6 * T * 8 + 2 * T * 8
 
         def physical(n):
             sysconf = lambda name: n if name == "SC_PHYS_PAGES" else 1  # noqa: E731

@@ -11,6 +11,7 @@ from slicesim.channel import SystemConfig
 from slicesim.embb_analysis import operating_point
 from slicesim.monte_carlo import TrialTable, build_trial_table
 from slicesim.slicing_search import (
+    RATE_CAP,
     RATE_TOL,
     max_devices,
     max_mmtc_rate_nonorth,
@@ -35,14 +36,14 @@ class TestMaxMmtcRateOrth:
         # Rayleigh closed form at eps_M = 0.1: r = log2(1 - gamma ln 0.9)
         want = math.log2(1.0 - 10**0.5 * math.log(0.9))
         cfg = make_cfg(L=1, M=1, trials=40_000)
-        assert max_mmtc_rate_orth(cfg) == pytest.approx(want, abs=0.02)
+        assert max_mmtc_rate_orth(build_trial_table(cfg)) == pytest.approx(want, abs=0.02)
 
     def test_result_is_feasible_and_near_boundary(self):
         # exact on the table: the result is feasible and the next double is not
         for kw in (dict(), dict(L=1, M=10), dict(L=4, M=3, eps_M=0.01)):
             cfg = make_cfg(**kw)
             table = build_trial_table(cfg)
-            r = max_mmtc_rate_orth(cfg, table=table)
+            r = max_mmtc_rate_orth(table)
             r_next = float(np.nextafter(r, np.inf))
             n = cfg.M * cfg.trials
             assert table.mmtc_orth_error_count(r) / n <= cfg.eps_M
@@ -50,21 +51,22 @@ class TestMaxMmtcRateOrth:
 
     def test_slack_constraint_hits_cap_with_warning(self):
         # gains so large the outage constraint never binds below the cap
-        cfg = make_cfg(M=1, gamma_bar_M=1e9, trials=300)
+        cfg = make_cfg(M=1, gamma_bar_M=1e25, trials=300)
         with pytest.warns(UserWarning, match="cap"):
-            r = max_mmtc_rate_orth(cfg, r_cap=4.0)
-        assert r == 4.0
+            r = max_mmtc_rate_orth(build_trial_table(cfg))
+        assert r == RATE_CAP
 
     def test_diversity_gain(self):
-        r1 = max_mmtc_rate_orth(make_cfg(L=1, trials=20_000))
-        r2 = max_mmtc_rate_orth(make_cfg(L=2, trials=20_000))
+        r1 = max_mmtc_rate_orth(build_trial_table(make_cfg(L=1, trials=20_000)))
+        r2 = max_mmtc_rate_orth(build_trial_table(make_cfg(L=2, trials=20_000)))
         assert r2 > r1
 
 
 class TestOrthogonalRegion:
     def test_endpoints_and_midpoint(self):
         cfg = make_cfg()
-        pts = orthogonal_region(cfg, [0.0, 0.5, 1.0])
+        r_M_out = max_mmtc_rate_orth(build_trial_table(cfg))
+        pts = orthogonal_region(cfg, [0.0, 0.5, 1.0], r_M_out)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         assert pts[0].r_B == 0.0 and pts[2].r_M == 0.0
         assert pts[2].r_B == pytest.approx(op.r_B_out)
@@ -73,7 +75,9 @@ class TestOrthogonalRegion:
 
     def test_line_identity(self):
         cfg = make_cfg()
-        pts = orthogonal_region(cfg, np.linspace(0, 1, 11))
+        pts = orthogonal_region(
+            cfg, np.linspace(0, 1, 11), max_mmtc_rate_orth(build_trial_table(cfg))
+        )
         r_B_out = pts[-1].r_B
         r_M_out = pts[0].r_M
         for pt in pts:
@@ -83,9 +87,9 @@ class TestOrthogonalRegion:
     def test_invalid_grids(self):
         cfg = make_cfg(trials=500)
         with pytest.raises(ValueError):
-            orthogonal_region(cfg, [])
+            orthogonal_region(cfg, [], 1.0)
         with pytest.raises(ValueError):
-            orthogonal_region(cfg, [0.0, 1.2])
+            orthogonal_region(cfg, [0.0, 1.2], 1.0)
 
 
 class TestMinFeasibleGammaTar:
@@ -120,8 +124,8 @@ class TestMaxMmtcRateNonorth:
     def test_zero_broadband_rate_matches_orthogonal(self):
         cfg = make_cfg(trials=20_000)
         table = build_trial_table(cfg)
-        r_orth = max_mmtc_rate_orth(cfg, table=table)
-        r_non, gamma = max_mmtc_rate_nonorth(cfg, 0.0, table=table)
+        r_orth = max_mmtc_rate_orth(table)
+        r_non, gamma, _ = max_mmtc_rate_nonorth(table, 0.0, r_orth)
         assert r_non == pytest.approx(r_orth, abs=0.02)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         assert gamma == pytest.approx(op.gamma_tar * 1e-9, rel=1e-6)
@@ -129,7 +133,7 @@ class TestMaxMmtcRateNonorth:
     def test_outage_rate_endpoint_degenerates(self):
         cfg = make_cfg()
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-        r_M, gamma = max_mmtc_rate_nonorth(cfg, op.r_B_out)
+        r_M, gamma, _ = max_mmtc_rate_nonorth(build_trial_table(cfg), op.r_B_out, 1.0)
         assert r_M == 0.0
         assert gamma == pytest.approx(op.gamma_tar)
 
@@ -141,7 +145,8 @@ class TestMaxMmtcRateNonorth:
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         for rel in (1e-8, 1e-10, 1e-12):
             r_B = op.r_B_out * (1.0 - rel)
-            assert max_mmtc_rate_nonorth(cfg, r_B, table=table) == (0.0, op.gamma_tar)
+            got = max_mmtc_rate_nonorth(table, r_B, max_mmtc_rate_orth(table))
+            assert got == (0.0, op.gamma_tar, None)
             assert min_feasible_gamma_tar(cfg, r_B, 0.25, table=table) is None
             assert max_devices(cfg, 0.25, [(r_B, "non_orthogonal")]) == [0]
 
@@ -149,7 +154,7 @@ class TestMaxMmtcRateNonorth:
         cfg = make_cfg(trials=500)
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         with pytest.raises(ValueError):
-            max_mmtc_rate_nonorth(cfg, op.r_B_out * 1.01)
+            max_mmtc_rate_nonorth(build_trial_table(cfg), op.r_B_out * 1.01, 1.0)
 
     def test_never_exceeds_orthogonal_ceiling(self):
         # broadband interference cannot raise the MTC rate above the
@@ -160,9 +165,9 @@ class TestMaxMmtcRateNonorth:
             cfg = make_cfg(L=L, M=4)
             table = build_trial_table(cfg)
             op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-            ceiling = max_mmtc_rate_orth(cfg, table=table)
+            ceiling = max_mmtc_rate_orth(table)
             for frac in (0.0, 0.05, 0.1, 0.25, 0.75):
-                r_M, _ = max_mmtc_rate_nonorth(cfg, frac * op.r_B_out, table=table)
+                r_M, _, _ = max_mmtc_rate_nonorth(table, frac * op.r_B_out, ceiling)
                 assert r_M <= ceiling
 
     @pytest.mark.parametrize("L", [1, 8])
@@ -174,6 +179,7 @@ class TestMaxMmtcRateNonorth:
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         r_B_points = (0.0, 0.1 * op.r_B_out, 0.99 * op.r_B_out)
         want = [two_pass_max_rate(cfg, r_B, table) for r_B in r_B_points]
+        r_M_out = max_mmtc_rate_orth(table)
         seen, count = [], TrialTable.nonorth_error_counts
 
         def counting(self, r_M, r_B, gamma_tar):
@@ -183,7 +189,7 @@ class TestMaxMmtcRateNonorth:
         monkeypatch.setattr(TrialTable, "nonorth_error_counts", counting)
         for r_B, expected in zip(r_B_points, want):
             seen.clear()
-            assert max_mmtc_rate_nonorth(cfg, r_B, table=table) == expected
+            assert max_mmtc_rate_nonorth(table, r_B, r_M_out)[:2] == expected
             assert len(seen) > 1 and len(seen) == len(set(seen)), r_B
 
 
@@ -192,7 +198,7 @@ def two_pass_max_rate(cfg, r_B, table):
     SNR kept its counts: every probe counts again at the accepted SNR."""
     n = cfg.M * cfg.trials
     lo, best_g = 0.0, min_feasible_gamma_tar(cfg, r_B, 0.0, table=table)
-    hi = max_mmtc_rate_orth(cfg, table=table) + RATE_TOL
+    hi = max_mmtc_rate_orth(table) + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
         g = min_feasible_gamma_tar(cfg, r_B, mid, table=table)
@@ -206,10 +212,12 @@ def two_pass_max_rate(cfg, r_B, table):
 class TestNonorthogonalRegion:
     def test_default_grid_size_and_monotone_trend(self):
         cfg = make_cfg(L=4, M=4, trials=8000)
-        pts = nonorthogonal_region(cfg, n_points=7)
+        table = build_trial_table(cfg)
+        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        grid = np.linspace(0.0, op.r_B_out, 7)
+        pts = nonorthogonal_region(table, grid, max_mmtc_rate_orth(table))
         assert len(pts) == 7
         assert pts[0].r_B == 0.0
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
         assert pts[-1].r_B == pytest.approx(op.r_B_out)
         for pt in pts:
             assert pt.mode == "non_orthogonal"
@@ -222,14 +230,32 @@ class TestNonorthogonalRegion:
     def test_single_point_grid_reduces_to_orthogonal_endpoint(self):
         cfg = make_cfg(trials=20_000)
         table = build_trial_table(cfg)
-        pts = nonorthogonal_region(cfg, [0.0], table=table)
-        r_orth = max_mmtc_rate_orth(cfg, table=table)
+        r_orth = max_mmtc_rate_orth(table)
+        pts = nonorthogonal_region(table, [0.0], r_orth)
         assert len(pts) == 1
         assert pts[0].r_M == pytest.approx(r_orth, abs=0.02)
 
+    def test_points_carry_the_counts_that_accepted_them(self):
+        # each point keeps the counts of the pass that accepted it, which a
+        # recount at its (r_M, r_B, target SNR) reproduces; a point whose
+        # target-SNR interval is empty (r_B at the outage rate) has none
+        cfg = make_cfg(L=4, M=4, trials=3000)
+        table = build_trial_table(cfg)
+        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        grid = np.linspace(0.0, op.r_B_out, 6)
+        pts = nonorthogonal_region(table, grid, max_mmtc_rate_orth(table))
+        for pt in pts:
+            if pt.counts is None:
+                assert (pt.r_M, pt.gamma_tar) == (0.0, op.gamma_tar)
+                continue
+            assert pt.counts == table.nonorth_error_counts(pt.r_M, pt.r_B, pt.gamma_tar)
+            assert pt.counts[0] / (cfg.M * cfg.trials) <= cfg.eps_M
+            assert pt.counts[1] / cfg.trials <= cfg.eps_B
+        assert sum(pt.counts is not None and pt.r_M > 0 for pt in pts) >= 3
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            nonorthogonal_region(make_cfg(trials=500), [])
+            nonorthogonal_region(build_trial_table(make_cfg(trials=500)), [], 1.0)
 
 
 class TestMaxDevices:
