@@ -11,7 +11,7 @@ from .embb_analysis import (
     target_snr,
     threshold_snr,
 )
-from .monte_carlo import OutageEstimate, build_trial_table
+from .monte_carlo import OutageEstimate, build_trial_table, build_trial_tables
 from .numerics import (
     RngStream,
     inv_reg_lower_gamma,

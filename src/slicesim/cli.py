@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import SystemConfig, db_to_linear
 from .embb_analysis import operating_point
-from .monte_carlo import OutageEstimate, build_trial_table
+from .monte_carlo import OutageEstimate, build_trial_tables
 from .slicing_search import (
     max_devices,
     max_mmtc_rate_orth,
@@ -268,45 +268,55 @@ _OUTAGE_HEADER = [
 ]
 
 
-def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1) -> str:
-    """Outage estimates at a fixed operating point (r_M required; nonorth
-    additionally needs r_B, with gamma_tar defaulting to the average-power cap)."""
+def _outage_targets(spec: ExperimentSpec) -> List[Optional[float]]:
+    """The broadband target SNR per antenna count (None each in orthogonal
+    mode), after checking the outage operating point: r_M is required,
+    nonorth also needs r_B, and gamma_tar defaults to the average-power cap."""
     if spec.r_M is None:
         raise ConfigError("config field 'r_M' is required for the outage command")
-    if spec.mode in ("nonorth", "both") and spec.r_B is None:
+    nonorth = spec.mode in ("nonorth", "both")
+    if nonorth and spec.r_B is None:
         raise ConfigError("config field 'r_B' is required for non-orthogonal outage")
     for name in ("r_M", "r_B"):
         value = getattr(spec, name)
         if value is not None and value < 0:
             raise ConfigError(f"config field {name!r} must be nonnegative, got {value}")
-    gammas = {}
-    if spec.mode in ("nonorth", "both"):
-        for L in spec.L_values:
-            cfg = _cfg_for(spec, L)
-            op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-            gamma = spec.gamma_tar if spec.gamma_tar is not None else op.gamma_tar
-            if not gamma > 2.0**spec.r_B - 1.0:
-                raise ConfigError(
-                    f"gamma_tar = {gamma} must exceed 2^r_B - 1 = {2.0**spec.r_B - 1.0} "
-                    f"at r_B = {spec.r_B} (L = {L})"
-                )
-            gammas[L] = gamma
-    rows = []
+    if not nonorth:
+        return [None] * len(spec.L_values)
+    gammas = []
     for L in spec.L_values:
         cfg = _cfg_for(spec, L)
-        table = build_trial_table(cfg, workers=workers)
+        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        gamma = spec.gamma_tar if spec.gamma_tar is not None else op.gamma_tar
+        if not gamma > 2.0**spec.r_B - 1.0:
+            raise ConfigError(
+                f"gamma_tar = {gamma} must exceed 2^r_B - 1 = {2.0**spec.r_B - 1.0} "
+                f"at r_B = {spec.r_B} (L = {L})"
+            )
+        gammas.append(gamma)
+    return gammas
+
+
+def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1) -> str:
+    """Outage estimates at a fixed operating point, one table per antenna
+    count, all from one sweep build after the operating point is checked."""
+    gammas = _outage_targets(spec)
+    tables = build_trial_tables(spec.scenario, spec.L_values, workers=workers)
+    rows = []
+    for table, gamma in zip(tables, gammas):
+        cfg = table.cfg
         if spec.mode in ("orth", "both"):
             est = OutageEstimate.from_counts(
                 table.mmtc_orth_error_count(spec.r_M), cfg.M * cfg.trials
             )
             rows.append(
-                ("orth", L, cfg.M, spec.r_M, None, None,
+                ("orth", cfg.L, cfg.M, spec.r_M, None, None,
                  None, est.p_hat, None, est.half_width_95)
             )
-        if spec.mode in ("nonorth", "both"):
-            counts = table.nonorth_error_counts(spec.r_M, spec.r_B, gammas[L])
+        if gamma is not None:
+            counts = table.nonorth_error_counts(spec.r_M, spec.r_B, gamma)
             rows.append(
-                ("nonorth", L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gammas[L]))
+                ("nonorth", cfg.L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gamma))
                 + _nonorth_stats(cfg, counts)
             )
     return _write_csv(_OUTAGE_HEADER, rows, out)
@@ -321,10 +331,10 @@ _REGION_HEADER = [
 def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1) -> str:
     """Achievable rate pairs over the requested grids, one CSV row per point."""
     rows = []
-    for L in spec.L_values:
-        cfg = _cfg_for(spec, L)
+    for table in build_trial_tables(spec.scenario, spec.L_values, workers=workers):
+        cfg = table.cfg
+        L = cfg.L
         op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
-        table = build_trial_table(cfg, workers=workers)
         r_M_out = max_mmtc_rate_orth(table)
         if spec.mode in ("orth", "both"):
             mm_est = OutageEstimate.from_counts(

@@ -13,6 +13,13 @@ then one comparison pass of those statistics against the rate thresholds,
 with no loop over devices: milliseconds instead of a fresh simulation,
 which is what makes the outer rate searches affordable.
 
+An antenna sweep shares one draw as well. An L-antenna table reads the
+first 2L(M+1) uniforms of each trial's stream, so its draw is a column
+prefix of the draw of any wider table with the same M. `build_trial_tables`
+draws each chunk of trials once, at the widest L of the sweep, and reduces
+every L's table from its column prefix; `build_trial_table` is the sweep
+of one antenna count.
+
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
 are the evaluation API: they return error counts, and
 `OutageEstimate.from_counts` turns a count into an estimate with its
@@ -27,14 +34,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import List, Sequence
 
 import numpy as np
 
 from .channel import SystemConfig
 from .numerics import _normals_from_uniforms, keyed_uniforms
 
-__all__ = ["OutageEstimate", "TrialTable", "build_trial_table"]
+__all__ = ["OutageEstimate", "TrialTable", "build_trial_table", "build_trial_tables"]
 
 _Z95 = 1.959963984540054
 
@@ -160,11 +168,11 @@ def _chunk_size(M: int) -> int:
     return max(1, min(16384, 4_000_000 // max(M * M, 1)))
 
 
-def _table_chunk(cfg: SystemConfig, t0: int, t1: int):
+def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
+    # Z holds one row of 2L(M+1) standard normals per trial: the broadband
+    # channel's (re, im) pairs, then each device's
     L, M = cfg.L, cfg.M
-    n = t1 - t0
-    U = keyed_uniforms(cfg.seed, t0, n, 2 * L * (M + 1))
-    Z = _normals_from_uniforms(U)
+    n = Z.shape[0]
     g_B = (Z[:, 0 : 2 * L : 2] + 1j * Z[:, 1 : 2 * L : 2]) * math.sqrt(
         cfg.gamma_bar_B / 2.0
     )
@@ -186,46 +194,69 @@ def _table_chunk(cfg: SystemConfig, t0: int, t1: int):
     return c, interf, b, b_suffix, d, prefix_min
 
 
-def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
-    """Draw all cfg.trials realizations and reduce them to SIC statistics.
+def build_trial_tables(
+    cfg: SystemConfig, L_values: Sequence[int], workers: int = 1
+) -> List[TrialTable]:
+    """Trial tables of cfg at each antenna count in L_values, in that order.
 
-    Per-trial keyed streams make the result independent of chunking and of
-    `workers`, which only bounds the thread pool used across chunks. Raises
-    MemoryError, before allocating, when the table plus the larger of one
-    chunk's Gram block and one count pass's temporaries exceeds the machine's
-    physical memory.
+    Each chunk of trials is drawn once, at the widest L, and every table is
+    reduced from its column prefix of those normals, so each table equals
+    one built on its own. Per-trial keyed streams make the result
+    independent of chunking and of `workers`, which only bounds the thread
+    pool used across chunks.
+
+    Every table of the sweep is alive at once. Raises MemoryError, before
+    allocating, when the tables, plus the draws of the chunks in flight,
+    plus the larger of one chunk's Gram block and one count pass's
+    temporaries, exceed the machine's physical memory.
     """
     T, M = cfg.trials, cfg.M
+    width = 2 * max(L_values) * (M + 1)
     step = _chunk_size(M)
+    in_flight = min(max(workers, 1), -(-T // step))  # threads, at most one per chunk
     table_bytes = T * (5 * M + 1) * 8  # five (T, M) arrays and d, float64
+    draw_bytes = min(step, T) * width * 16  # a chunk's uniforms and normals
     gram_bytes = min(step, T) * M * M * 16
     # a `nonorth_error_counts` pass peaks at about two (T, M) float64 arrays
     eval_bytes = 2 * T * M * 8
+    need = len(L_values) * table_bytes + in_flight * draw_bytes + max(gram_bytes, eval_bytes)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if table_bytes + max(gram_bytes, eval_bytes) > physical:
+    if need > physical:
         raise MemoryError(
-            f"trial table of {table_bytes} bytes plus a chunk Gram of {gram_bytes} "
-            f"bytes or count temporaries of {eval_bytes} bytes exceeds the "
-            f"{physical} bytes of physical memory"
+            f"{len(L_values)} trial table(s) of {table_bytes} bytes, {in_flight} chunk "
+            f"draw(s) of {draw_bytes} bytes, and a chunk Gram of {gram_bytes} bytes "
+            f"or count temporaries of {eval_bytes} bytes exceed the {physical} "
+            f"bytes of physical memory"
         )
-    c = np.empty((T, M), order="F")
-    interf = np.empty((T, M), order="F")
-    b = np.empty((T, M), order="F")
-    b_suffix = np.empty((T, M), order="F")
-    d = np.empty(T)
-    prefix_min = np.empty((T, M), order="F")
+
+    def column():
+        return np.empty((T, M), order="F")
+
+    tables = [
+        TrialTable(replace(cfg, L=L), column(), column(), column(), column(), np.empty(T),
+                   column())
+        for L in L_values
+    ]
     bounds = [(t0, min(t0 + step, T)) for t0 in range(0, T, step)]
 
     def fill(span):
         t0, t1 = span
-        out = _table_chunk(cfg, t0, t1)
-        for dst, src in zip((c, interf, b, b_suffix, d, prefix_min), out):
-            dst[t0:t1] = src
+        Z = _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, width))
+        for tab in tables:
+            out = _table_chunk(tab.cfg, Z[:, : 2 * tab.cfg.L * (M + 1)])
+            arrays = (tab.c, tab.interf, tab.b, tab.b_suffix, tab.d, tab.prefix_min)
+            for dst, src in zip(arrays, out):
+                dst[t0:t1] = src
 
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if in_flight > 1:
+        with ThreadPoolExecutor(max_workers=in_flight) as pool:
             list(pool.map(fill, bounds))
     else:
         for span in bounds:
             fill(span)
-    return TrialTable(cfg, c, interf, b, b_suffix, d, prefix_min)
+    return tables
+
+
+def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
+    """The trial table of cfg alone: `build_trial_tables` at cfg.L."""
+    return build_trial_tables(cfg, (cfg.L,), workers)[0]

@@ -134,7 +134,10 @@ def keyed_uniforms(seed: int, first_stream: int, n_streams: int, n_per: int) -> 
 
     Reuses a single Philox instance with per-row state resets, which is
     bit-identical to constructing a fresh generator per stream but avoids
-    the per-object construction cost (matters at 1e6 trials).
+    the per-object construction cost. Measured over 4096 streams (numpy
+    2.4, one thread on a 2-vCPU Xeon VM): 5.5 us per stream at 22
+    uniforms and 8.7 us at 352, against 20 and 23 us with a fresh
+    generator per stream.
     """
     if n_streams < 0 or n_per < 0:
         raise ValueError("n_streams and n_per must be nonnegative")

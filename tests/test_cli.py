@@ -38,14 +38,20 @@ def rows_of(text):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """(L, M) of every trial table built through `cli` or the device search."""
+    """(L, M) of every trial table that `cli`'s sweep builds or the device
+    search builds, in the order asked for."""
     built = []
-    for module in (slicesim.cli, slicesim.slicing_search):
-        def counting(cfg, _build=module.build_trial_table, **kw):
-            built.append((cfg.L, cfg.M))
-            return _build(cfg, **kw)
 
-        monkeypatch.setattr(module, "build_trial_table", counting)
+    def sweep(cfg, L_values, _build=slicesim.cli.build_trial_tables, **kw):
+        built.extend((L, cfg.M) for L in L_values)
+        return _build(cfg, L_values, **kw)
+
+    def single(cfg, _build=slicesim.slicing_search.build_trial_table, **kw):
+        built.append((cfg.L, cfg.M))
+        return _build(cfg, **kw)
+
+    monkeypatch.setattr(slicesim.cli, "build_trial_tables", sweep)
+    monkeypatch.setattr(slicesim.slicing_search, "build_trial_table", single)
     return built
 
 
@@ -288,40 +294,31 @@ class TestRunOutage:
         err = capsys.readouterr().err
         assert "config error" in err and "gamma_tar" in err and "r_B" in err
 
-    def test_inadmissible_later_antenna_count_builds_nothing(self, monkeypatch):
+    def test_inadmissible_later_antenna_count_builds_nothing(self, builds):
         # r_B = 5 is below r_B_out at L = 8 but above it at L = 1
-        built, build = [], slicesim.cli.build_trial_table
-        counting = lambda cfg, **kw: built.append(cfg.L) or build(cfg, **kw)  # noqa: E731
-        monkeypatch.setattr(slicesim.cli, "build_trial_table", counting)
         text = GOOD_CONFIG.replace("L = 2", "L = 8,1") + "mode = nonorth\nr_M = 0.5\nr_B = 5.0\n"
         with pytest.raises(ConfigError, match="L = 1"):
             run_outage(parse_spec("outage", text))
-        assert built == []
+        assert builds == []
 
     @pytest.mark.parametrize(
         "mode, rates",
         [("orth", "r_M = -0.5\n"), ("nonorth", "r_M = 0.5\nr_B = -0.5\n")],
         ids=["r_M", "r_B"],
     )
-    def test_negative_rate_is_2_before_any_build(self, tmp_path, capsys, monkeypatch,
-                                                 mode, rates):
-        built, build = [], slicesim.cli.build_trial_table
-        counting = lambda cfg, **kw: built.append(cfg.L) or build(cfg, **kw)  # noqa: E731
-        monkeypatch.setattr(slicesim.cli, "build_trial_table", counting)
+    def test_negative_rate_is_2_before_any_build(self, tmp_path, capsys, builds, mode, rates):
         cfg = tmp_path / "neg.cfg"
         cfg.write_text(GOOD_CONFIG + f"mode = {mode}\n" + rates)
         assert main(["outage", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "-0.5" in err
-        assert built == []
+        assert builds == []
 
-    def test_one_table_per_antenna_count(self, monkeypatch):
-        built, build = [], slicesim.cli.build_trial_table
-        counting = lambda cfg, **kw: built.append(cfg.L) or build(cfg, **kw)  # noqa: E731
-        monkeypatch.setattr(slicesim.cli, "build_trial_table", counting)
+    def test_one_table_per_antenna_count(self, builds):
         text = GOOD_CONFIG.replace("L = 2", "L = 1,2") + "mode = both\nr_M = 0.5\nr_B = 1.0\n"
         run_outage(parse_spec("outage", text))
-        assert built == [1, 2]  # mode both evaluates both slicing modes on one table
+        # mode both evaluates both slicing modes on one table
+        assert builds == [(1, 3), (2, 3)]
 
 
 class TestRunMaxDevices:
@@ -414,6 +411,27 @@ class TestMainExitCodes:
         assert main(["region", "--config", str(cfg), "--workers", "1", "--out", str(out1)]) == 0
         assert main(["region", "--config", str(cfg), "--workers", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    @pytest.mark.parametrize("command", ["outage", "region"])
+    def test_sweep_csv_is_its_single_antenna_runs(self, tmp_path, command, workers):
+        # M = 50 makes 1600-trial chunks, so 2000 trials are two chunks, and
+        # the L = 1 and L = 8 tables read column prefixes of the L = 16 draw
+        text = (
+            GOOD_CONFIG.replace("M = 3", "M = 50").replace("trials = 800", "trials = 2000")
+            + "mode = both\nr_M = 0.1\nr_B = 1.0\nalpha_points = 3\nr_b_points = 3\n"
+        )
+
+        def csv_lines(L):
+            cfg, out = tmp_path / f"L{L}.cfg", tmp_path / f"L{L}.csv"
+            cfg.write_text(text.replace("L = 2", f"L = {L}"))
+            argv = [command, "--config", str(cfg), "--workers", workers, "--out", str(out)]
+            assert main(argv) == 0
+            return out.read_bytes().splitlines(keepends=True)
+
+        parts = [csv_lines(L) for L in ("1", "8", "16")]
+        assert len(parts[0]) > 1
+        assert csv_lines("1,8,16") == parts[0][:1] + [row for p in parts for row in p[1:]]
 
     @pytest.mark.parametrize("command", ["embb-analytic", "outage", "region", "max-devices"])
     def test_every_antenna_count_is_checked_before_any_build(self, tmp_path, capsys, builds,

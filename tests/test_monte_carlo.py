@@ -161,11 +161,13 @@ class TestDeterminism:
             build_trial_table(make_cfg(M=4096, trials=10**8))
 
     def test_memory_check_counts_the_count_pass(self, monkeypatch):
-        # at M = 1 and T = 32768 the table is 6 * T * 8 bytes, a chunk's Gram
-        # block 16384 * 16 bytes, and one count pass's temporaries 2 * T * 8
-        # bytes: the table and its Gram fit, the table and its evaluation not
+        # at L = 2, M = 1 and T = 32768 the table is 6 * T * 8 bytes, a
+        # chunk's draw 16384 * 8 uniforms and as many normals, its Gram block
+        # 16384 * 16 bytes, and one count pass's temporaries 2 * T * 8 bytes:
+        # the table, a draw and its Gram fit, the table, a draw and its
+        # evaluation not
         T = 32768
-        need = 6 * T * 8 + 2 * T * 8
+        need = 6 * T * 8 + 16384 * 8 * 16 + 2 * T * 8
 
         def physical(n):
             sysconf = lambda name: n if name == "SC_PHYS_PAGES" else 1  # noqa: E731
@@ -176,6 +178,34 @@ class TestDeterminism:
             build_trial_table(make_cfg(M=1, trials=T))
         physical(need)
         assert build_trial_table(make_cfg(M=1, trials=T)).c.shape == (T, 1)
+
+    def test_memory_check_counts_every_table_of_a_sweep(self, monkeypatch):
+        # at M = 1 and T = 32768 each table is 6 * T * 8 bytes; the sweep at
+        # L = 1, 2 holds both tables and, with two workers, the draws of both
+        # chunks at the L = 2 width, 16384 * 8 uniforms and as many normals
+        T = 32768
+        physical = 6 * T * 8 + 2 * 16384 * 8 * 16 + 2 * T * 8  # the L = 2 build
+        sysconf = lambda name: physical if name == "SC_PHYS_PAGES" else 1  # noqa: E731
+        monkeypatch.setattr(monte_carlo.os, "sysconf", sysconf)
+        cfg = make_cfg(L=1, M=1, trials=T)
+        for L in (1, 2):
+            assert build_trial_table(replace(cfg, L=L), workers=2).d.shape == (T,)
+        with pytest.raises(MemoryError, match="2 trial table.*2 chunk draw"):
+            monte_carlo.build_trial_tables(cfg, (1, 2), workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sweep_equals_its_parts(self, workers):
+        # M = 64 makes 976-trial chunks: 2000 trials are two full chunks and
+        # a partial one, and every table of the sweep reads a column prefix
+        # of the L = 16 draw
+        cfg = make_cfg(M=64, trials=2000)
+        L_values = (1, 2, 4, 8, 16)
+        sweep = monte_carlo.build_trial_tables(cfg, L_values, workers=workers)
+        assert [t.cfg for t in sweep] == [replace(cfg, L=L) for L in L_values]
+        for table in sweep:
+            alone = build_trial_table(table.cfg)
+            for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
+                assert np.array_equal(getattr(table, name), getattr(alone, name))
 
     def test_seed_changes_estimates(self):
         r = 0.62
