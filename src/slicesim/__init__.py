@@ -3,20 +3,9 @@ sharing a slot at a multi-antenna base station, under orthogonal
 (time-sharing) and non-orthogonal (MRC-SIC) slicing."""
 
 from .channel import ChannelRealization, SystemConfig, db_to_linear, draw_realization
-from .embb_analysis import (
-    EmbbOperatingPoint,
-    activation_probability,
-    operating_point,
-    outage_rate,
-    target_snr,
-    threshold_snr,
-)
+from .embb_analysis import EmbbOperatingPoint, operating_point
 from .monte_carlo import OutageEstimate, build_trial_table, build_trial_tables
-from .numerics import (
-    RngStream,
-    inv_reg_lower_gamma,
-    upper_incomplete_gamma,
-)
+from .numerics import RngStream
 from .sic_decoder import DecodeOutcome, decode_non_orthogonal, decode_orthogonal, sic_order
 from .slicing_search import (
     RatePoint,

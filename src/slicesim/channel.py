@@ -11,6 +11,7 @@ conversion happens once, at config-parse time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("L", "M"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.M < 0:

@@ -88,6 +88,8 @@ class ExperimentSpec:
             raise ConfigError(
                 f"the {self.command} command needs M >= 1, got {self.scenario.M}"
             )
+        if self.command == "max-devices" and self.r_M is not None and self.r_M <= 0:
+            raise ConfigError(f"config field 'r_M' must be positive, got {self.r_M}")
 
 
 _SCENARIO_KEYS = {
@@ -248,7 +250,7 @@ def run_embb_analytic(spec: ExperimentSpec, out: Optional[str] = None) -> str:
     rows = []
     for L in spec.L_values:
         cfg = _cfg_for(spec, L)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         rows.append((L, op.gamma_min, op.gamma_tar, op.a_B, op.r_B_out))
     return _write_csv(["L", "gamma_min", "gamma_tar", "a_B", "r_B_out"], rows, out)
 
@@ -286,7 +288,7 @@ def _outage_targets(spec: ExperimentSpec) -> List[Optional[float]]:
     gammas = []
     for L in spec.L_values:
         cfg = _cfg_for(spec, L)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         gamma = spec.gamma_tar if spec.gamma_tar is not None else op.gamma_tar
         if not gamma > 2.0**spec.r_B - 1.0:
             raise ConfigError(
@@ -334,7 +336,7 @@ def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
     for table in build_trial_tables(spec.scenario, spec.L_values, workers=workers):
         cfg = table.cfg
         L = cfg.L
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         r_M_out = max_mmtc_rate_orth(table)
         if spec.mode in ("orth", "both"):
             mm_est = OutageEstimate.from_counts(
@@ -365,13 +367,11 @@ def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
 def run_max_devices(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1) -> str:
     """Largest supportable device count over an r_B grid (default r_M 0.25)."""
     r_M = spec.r_M if spec.r_M is not None else 0.25
-    if r_M <= 0:
-        raise ConfigError(f"config field 'r_M' must be positive, got {r_M}")
     tokens = {"orthogonal": "orth", "non_orthogonal": "nonorth"}
     rows = []
     for L in spec.L_values:
         cfg = _cfg_for(spec, L)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         grid = np.linspace(0.0, op.r_B_out, spec.r_b_points)
         points = [
             (float(r_B), mode)
@@ -400,6 +400,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         config_text = None
         if args.config is not None:
             try:

@@ -1,9 +1,4 @@
-"""Incomplete-gamma helpers and reproducible complex Gaussian sampling.
-
-The incomplete gamma functions here are restricted to integer order, which
-is all the fading analysis needs: the squared norm of an i.i.d. complex
-Gaussian vector of length L is gamma-distributed with integer shape L. They
-check the integer domain and delegate to `scipy.special`.
+"""Reproducible complex Gaussian sampling.
 
 Random sampling is counter-based: each :class:`RngStream` (seed, stream_id)
 pair keys an independent Philox stream, so one stream per Monte Carlo trial
@@ -16,13 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammaincc, gammaincinv, ndtri
+from scipy.special import ndtri
 
 __all__ = [
     "RngStream",
-    "upper_incomplete_gamma",
-    "reg_upper_incomplete_gamma",
-    "inv_reg_lower_gamma",
     "sample_complex_gaussian",
     "keyed_uniforms",
 ]
@@ -31,54 +23,6 @@ __all__ = [
 _TINY_U = 1e-300
 
 _UINT64_MAX = 2**64 - 1
-
-
-def _as_order(a) -> int:
-    ia = int(a)
-    if ia != a or ia < 0:
-        raise ValueError(f"gamma order must be a nonnegative integer, got {a!r}")
-    return ia
-
-
-def reg_upper_incomplete_gamma(a: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / (a-1)!,
-    integer a >= 1 (scipy.special.gammaincc)."""
-    a = _as_order(a)
-    if a < 1:
-        raise ValueError("regularized form needs a >= 1")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return float(gammaincc(a, x))
-
-
-def upper_incomplete_gamma(a: int, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) for integer a >= 0.
-
-    a >= 1 is (a-1)! * Q(a, x); a = 0 is the exponential integral E1(x),
-    which diverges at x = 0.
-    """
-    a = _as_order(a)
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if a == 0:
-        if x == 0:
-            raise ValueError("Gamma(0, 0) diverges")
-        return float(exp1(x))
-    return math.factorial(a - 1) * reg_upper_incomplete_gamma(a, x)
-
-
-def inv_reg_lower_gamma(a: int, p: float) -> float:
-    """Inverse of the regularized lower incomplete gamma in x.
-
-    Returns x >= 0 with P(a, x) = p for integer a >= 1 and p in [0, 1)
-    (scipy.special.gammaincinv).
-    """
-    a = _as_order(a)
-    if a < 1:
-        raise ValueError("inverse needs a >= 1")
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be in [0, 1), got {p}")
-    return float(gammaincinv(a, p))
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ def orthogonal_region(
         raise ValueError("alpha_grid must not be empty")
     if any(not 0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha_grid values must lie in [0, 1]")
-    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+    op = operating_point(cfg)
     return [
         RatePoint(
             r_B=a * op.r_B_out,
@@ -168,7 +168,7 @@ def min_feasible_gamma_tar(
     must be, and the interval is bisected geometrically to GAMMA_REL_TOL;
     the feasible end of the final bracket is returned.
     """
-    bracket = _gamma_bracket(operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B), r_B)
+    bracket = _gamma_bracket(operating_point(cfg), r_B)
     if bracket is None:
         return None
     if table is None:
@@ -238,7 +238,7 @@ def max_mmtc_rate_nonorth(
     (r_B at the orthogonal outage rate).
     """
     cfg = table.cfg
-    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+    op = operating_point(cfg)
     if r_B < 0 or r_B > op.r_B_out * (1.0 + 1e-12):
         raise ValueError(f"r_B must lie in [0, r_B_out={op.r_B_out:.6f}], got {r_B}")
     bracket = _gamma_bracket(op, r_B)
@@ -321,7 +321,7 @@ def max_devices(
     """
     if r_M <= 0:
         raise ValueError(f"r_M must be positive, got {r_M}")
-    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+    op = operating_point(cfg)
     # point index -> (r_M, r_B, target-SNR bracket) its tables are tested at;
     # the bracket is None in orthogonal mode
     searches = {}

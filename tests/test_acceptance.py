@@ -17,11 +17,7 @@ from conftest import record_criterion
 
 from slicesim.channel import SystemConfig, draw_realization
 from slicesim.cli import main
-from slicesim.embb_analysis import (
-    activation_probability,
-    operating_point,
-    threshold_snr,
-)
+from slicesim.embb_analysis import operating_point
 from slicesim.monte_carlo import build_trial_table
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 from slicesim.slicing_search import (
@@ -63,7 +59,7 @@ def fig3_curves():
     out = {}
     for L in (1, 8, 16):
         cfg = paper_cfg(L)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         table = build_trial_table(cfg, workers=WORKERS)
         r_M_out = max_mmtc_rate_orth(table)
         points = nonorthogonal_region(table, np.linspace(0.0, op.r_B_out, 41), r_M_out)
@@ -75,8 +71,8 @@ def test_c01_closed_form_consistency():
     worst = 0.0
     for L in L_SWEEP:
         for eps in (1e-1, 1e-2, 1e-3):
-            g = threshold_snr(L, eps, GAMMA_B)
-            worst = max(worst, abs(activation_probability(L, g, GAMMA_B) - (1 - eps)))
+            op = operating_point(replace(paper_cfg(L), eps_B=eps))
+            worst = max(worst, abs(op.a_B - (1 - eps)))
     ok = worst <= 1e-9
     record_criterion(1, "closed-form activation/threshold consistency", ok,
                      f"max residual {worst:.2e}")
@@ -88,7 +84,7 @@ def test_c02_embb_outage_calibration(embb_gains_by_L):
     tol = 3 * math.sqrt(EPS_B * (1 - EPS_B) / 10**6)
     details, ok = [], True
     for L in L_SWEEP:
-        gamma_min = threshold_snr(L, EPS_B, GAMMA_B)
+        gamma_min = operating_point(paper_cfg(L)).gamma_min
         gains = embb_gains_by_L[L]
         p = int((gains < gamma_min).sum()) / len(gains)
         ok &= abs(p - EPS_B) <= tol
@@ -102,7 +98,7 @@ def test_c02_embb_outage_calibration(embb_gains_by_L):
 def test_c03_average_power_constraint(embb_gains_by_L):
     details, ok = [], True
     for L in L_SWEEP:
-        op = operating_point(L, EPS_B, GAMMA_B)
+        op = operating_point(paper_cfg(L))
         gains = embb_gains_by_L[L]
         mean = float(np.where(gains >= op.gamma_min, op.gamma_tar / gains, 0.0).mean())
         tol = 0.05 if L == 1 else 0.01
@@ -195,7 +191,7 @@ def test_c09_diversity_monotonicity():
     m_by_mode = {"orthogonal": [], "non_orthogonal": []}
     for L in L_SWEEP:
         cfg = paper_cfg(L, trials=30_000)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         points = [(0.5 * op.r_B_out, mode) for mode in m_by_mode]
         for (_, mode), m in zip(points, max_devices(cfg, 0.25, points, workers=WORKERS)):
             m_by_mode[mode].append(m)

@@ -33,7 +33,9 @@ class TestSystemConfig:
         "field,value",
         [
             ("L", 0),
+            ("L", 1.5),
             ("M", -1),
+            ("M", 2.0),
             ("gamma_bar_B", 0.0),
             ("gamma_bar_M", -2.0),
             ("eps_B", 0.0),

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,9 @@ eps_M = 0.1
 trials = 800
 seed = 7
 """
+
+
+FIG3_CSV = Path(__file__).parent / "data" / "embb_fig3.csv"
 
 
 def rows_of(text):
@@ -153,6 +157,13 @@ class TestParseSpec:
         with pytest.raises(ConfigError, match="alpha_points"):
             parse_spec("region", GOOD_CONFIG + "alpha_points = 0\n")
 
+    @pytest.mark.parametrize("r_M", ["0.0", "-0.25"])
+    def test_max_devices_needs_positive_rate(self, r_M):
+        with pytest.raises(ConfigError, match="r_M"):
+            parse_spec("max-devices", GOOD_CONFIG + f"r_M = {r_M}\n")
+        # the other commands check their rates where they use them
+        assert parse_spec("region", GOOD_CONFIG + f"r_M = {r_M}\n").r_M == float(r_M)
+
 
 class TestEmbbAnalytic:
     def test_single_row_csv(self):
@@ -174,6 +185,11 @@ class TestEmbbAnalytic:
         capsys.readouterr()
         row = rows_of(text)[0]
         assert float(row["gamma_tar"]) == pytest.approx(100.0, rel=1e-4)
+
+    def test_fig3_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "embb.csv"
+        assert main(["embb-analytic", "--preset", "fig3", "--out", str(out)]) == 0
+        assert out.read_bytes() == FIG3_CSV.read_bytes()
 
 
 class TestRunRegion:
@@ -355,11 +371,12 @@ class TestRunMaxDevices:
         assert len(built) == len(set(built))
 
     @pytest.mark.parametrize("r_M", ["0.0", "-0.25"])
-    def test_nonpositive_rate_is_2(self, tmp_path, capsys, r_M):
+    def test_nonpositive_rate_is_2(self, tmp_path, capsys, builds, r_M):
         cfg = tmp_path / "md.cfg"
         cfg.write_text(GOOD_CONFIG + f"r_b_points = 3\nr_M = {r_M}\n")
         assert main(["max-devices", "--config", str(cfg)]) == 2
         assert "r_M" in capsys.readouterr().err
+        assert builds == []
 
 
 class TestMainExitCodes:
@@ -450,6 +467,17 @@ class TestMainExitCodes:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "M >= 1" in err
+        assert builds == []
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["outage", "region", "max-devices"])
+    def test_nonpositive_workers_is_2_before_any_build(self, tmp_path, capsys, builds,
+                                                       command, workers):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(GOOD_CONFIG + "r_M = 0.5\nr_B = 1.0\n")
+        assert main([command, "--config", str(cfg), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("slicesim: config error:") and "--workers" in err
         assert builds == []
 
     def test_seed_and_trials_flags(self, tmp_path):

@@ -5,13 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import gammainc
 
 from slicesim import monte_carlo
 from slicesim.channel import SystemConfig, draw_realization
+from slicesim.embb_analysis import operating_point
 from slicesim.monte_carlo import (
     OutageEstimate,
     TrialTable,
     build_trial_table,
+    build_trial_tables,
     wilson_half_width,
 )
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
@@ -331,6 +335,66 @@ class TestNonOrthogonalEstimator:
     def test_requires_devices(self):
         with pytest.raises(ValueError):
             build_trial_table(make_cfg(M=0)).nonorth_error_counts(0.5, 1.0, 10.0)
+
+
+def single_device_error_rates(cfg, r_M, r_B, gamma):
+    """(MTC, broadband) error probabilities at M = 1 as 1-D integrals.
+
+    Split the device channel g into a = |g^H g_B|^2 / ||g_B||^2 ~ Exp(mean
+    gamma_bar_M) and e = ||g||^2 - a ~ Gamma(L-1, gamma_bar_M), independent of
+    each other and of g_B (e = 0 at L = 1). The device decodes with the
+    broadband signal pending iff a + e >= c_plus(a), the positive root of
+    P_M c^2 = thr_M (gamma a + c). The broadband attempt beneath the device
+    succeeds iff a <= a0 = (gamma / thr_B - 1) / P_M, and alone it always
+    succeeds. So the broadband signal fails iff a > a0 and a + e < c_plus(a),
+    which needs a < a* = thr_M (1 + gamma) / P_M, where c_plus(a) = a. The
+    device fails then, or when a <= a0 and a + e < thr_M / P_M.
+    """
+    thr_M, thr_B, P_M, scale = 2.0**r_M - 1.0, 2.0**r_B - 1.0, cfg.P_M, cfg.gamma_bar_M
+
+    def cdf_e(y):
+        if cfg.L == 1:
+            return float(y > 0)
+        return gammainc(cfg.L - 1, max(y, 0.0) / scale)
+
+    def c_plus(a):
+        return (thr_M + math.sqrt(thr_M**2 + 4 * P_M * thr_M * gamma * a)) / (2 * P_M)
+
+    def integral(f, lo, hi):
+        if hi <= lo:
+            return 0.0
+        return quad(lambda a: math.exp(-a / scale) / scale * f(a), lo, hi,
+                    epsabs=1e-14, epsrel=1e-10)[0]
+
+    a0 = (gamma / thr_B - 1.0) / P_M
+    p_B = integral(lambda a: cdf_e(c_plus(a) - a), a0, thr_M * (1.0 + gamma) / P_M)
+    p_M = p_B + integral(lambda a: cdf_e(thr_M / P_M - a), 0.0, min(a0, thr_M / P_M))
+    return p_M, p_B
+
+
+@pytest.fixture(scope="module")
+def single_device_tables():
+    """Criterion 9's scenario at M = 1, 2e5 trials, seed 2718, by L."""
+    cfg = SystemConfig(L=1, M=1, gamma_bar_B=100.0, gamma_bar_M=10**0.5,
+                       eps_B=1e-3, eps_M=0.1, trials=200_000, seed=2718)
+    return {t.cfg.L: t for t in build_trial_tables(cfg, (1, 2, 4))}
+
+
+class TestSingleDeviceQuadrature:
+    @pytest.mark.parametrize("end", ["lower", "cap"])
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    def test_counts_match_quadrature(self, single_device_tables, L, end):
+        # criterion 9's operating point, at either end of the admissible
+        # target-SNR bracket (lower end as the rate search forms it)
+        table = single_device_tables[L]
+        op = operating_point(table.cfg)
+        r_M, r_B = 0.25, 0.5 * op.r_B_out
+        thr_B = 2.0**r_B - 1.0
+        gamma = thr_B + (op.gamma_tar - thr_B) * 1e-9 if end == "lower" else op.gamma_tar
+        T = table.cfg.trials
+        for count, p in zip(table.nonorth_error_counts(r_M, r_B, gamma),
+                            single_device_error_rates(table.cfg, r_M, r_B, gamma)):
+            assert abs(count / T - p) <= 4 * math.sqrt(p * (1 - p) / T)
 
 
 def embb_power(gains, gamma_min, gamma_tar):

@@ -1,4 +1,5 @@
-"""Incomplete gamma functions, their inverse, and the keyed sampler."""
+"""The scipy.special incomplete-gamma functions on the operating point's
+domain (integer order up to 64, x up to 700), and the keyed sampler."""
 
 import math
 
@@ -7,18 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc
+from scipy.special import exp1, gammainc, gammaincc, gammaincinv
 
-from slicesim.numerics import (
-    RngStream,
-    inv_reg_lower_gamma,
-    keyed_uniforms,
-    sample_complex_gaussian,
-    upper_incomplete_gamma,
-)
+from slicesim.channel import SystemConfig
+from slicesim.numerics import RngStream, keyed_uniforms, sample_complex_gaussian
 
 # E1(1.0) frozen from adaptive quadrature of the defining integral (below)
 E1_AT_1 = 0.2193839343955203
+
+
+def upper_incomplete_gamma(a: int, x: float) -> float:
+    """Gamma(a, x) as `operating_point` forms its target-SNR denominator:
+    E1(x) at a = 0, else (a-1)! Q(a, x)."""
+    return float(exp1(x)) if a == 0 else math.factorial(a - 1) * float(gammaincc(a, x))
 
 
 def quad_upper_gamma(a: int, x: float) -> float:
@@ -26,6 +28,10 @@ def quad_upper_gamma(a: int, x: float) -> float:
     val, _ = quad(lambda t: t ** (a - 1) * math.exp(-t), x, np.inf,
                   epsabs=1e-14, epsrel=1e-13)
     return val
+
+
+def config_with(L: int, eps_B: float) -> SystemConfig:
+    return SystemConfig(L=L, M=0, gamma_bar_B=1.0, gamma_bar_M=1.0, eps_B=eps_B, eps_M=0.1)
 
 
 class TestUpperIncompleteGamma:
@@ -50,20 +56,26 @@ class TestUpperIncompleteGamma:
         )
 
     def test_extreme_arguments_stay_accurate(self):
-        # a <= 64, x <= 700 must hold ~10 significant digits
-        from scipy.special import gammaincc
-
+        # a <= 64, x <= 700 must hold ~10 significant digits against the
+        # finite Poisson sum Q(a, x) = sum_{k<a} e^{-x} x^k / k!
         for a, x in [(64, 700.0), (1, 700.0), (64, 1e-3), (32, 300.0)]:
-            want = float(gammaincc(a, x)) * math.factorial(a - 1)
-            assert upper_incomplete_gamma(a, x) == pytest.approx(want, rel=1e-10)
+            q = math.fsum(
+                math.exp(k * math.log(x) - x - math.lgamma(k + 1)) for k in range(a)
+            )
+            assert upper_incomplete_gamma(a, x) == pytest.approx(
+                math.factorial(a - 1) * q, rel=1e-10
+            )
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(0, 0.0)
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(-1, 1.0)
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(2, -0.5)
+        # scipy answers inf or nan outside the domain instead of raising, so
+        # the configuration is what keeps the operating point inside it:
+        # Gamma(0, 0) diverges (the L = 1 threshold at eps_B = 0), and L = 0
+        # would ask for Gamma(-1, x)
+        assert upper_incomplete_gamma(0, 0.0) == math.inf
+        assert math.isnan(upper_incomplete_gamma(2, -0.5))
+        for L, eps_B in ((1, 0.0), (0, 1e-3)):
+            with pytest.raises(ValueError):
+                config_with(L, eps_B)
 
     @given(a=st.integers(1, 64), x=st.floats(0.0, 700.0))
     @settings(max_examples=200)
@@ -91,11 +103,11 @@ class TestUpperIncompleteGamma:
 class TestInverseRegularizedLowerGamma:
     def test_order_one_closed_form(self):
         p = 1.0 - math.exp(-1.0)
-        assert inv_reg_lower_gamma(1, p) == pytest.approx(1.0, abs=1e-10)
+        assert gammaincinv(1, p) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("a", [1, 2, 5, 16, 64])
     def test_p_zero_maps_to_zero(self, a):
-        assert inv_reg_lower_gamma(a, 0.0) == 0.0
+        assert gammaincinv(a, 0.0) == 0.0
 
     def test_order_two_against_bisection_oracle(self):
         # oracle: bisection on 1 - e^-x (1 + x) = 1/2
@@ -108,25 +120,27 @@ class TestInverseRegularizedLowerGamma:
                 hi = mid
         oracle = 0.5 * (lo + hi)
         assert oracle == pytest.approx(1.6783469900, abs=1e-9)
-        assert inv_reg_lower_gamma(2, 0.5) == pytest.approx(oracle, abs=1e-10)
+        assert gammaincinv(2, 0.5) == pytest.approx(oracle, abs=1e-10)
 
     def test_domain_errors(self):
-        for bad_p in (-0.1, 1.0, 1.5):
+        # no finite inverse outside [0, 1); the configuration refuses those
+        # outage targets (and 0, whose threshold is 0) before scipy sees them
+        assert gammaincinv(2, 1.0) == math.inf
+        assert all(math.isnan(gammaincinv(2, p)) for p in (-0.1, 1.5))
+        for bad_p in (-0.1, 0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                inv_reg_lower_gamma(2, bad_p)
-        with pytest.raises(ValueError):
-            inv_reg_lower_gamma(0, 0.5)
+                config_with(2, bad_p)
 
     @given(a=st.integers(1, 64), p=st.floats(0.0, 0.999))
     @settings(max_examples=200)
     def test_right_inverse(self, a, p):
-        x = inv_reg_lower_gamma(a, p)
+        x = gammaincinv(a, p)
         assert gammainc(a, x) == pytest.approx(p, abs=1e-9)
 
     def test_grid_round_trip(self):
         for a in (1, 2, 4, 8, 16, 64):
             for p in np.linspace(0.0, 0.999, 41):
-                x = inv_reg_lower_gamma(a, float(p))
+                x = gammaincinv(a, float(p))
                 assert gammainc(a, x) == pytest.approx(
                     float(p), abs=1e-9
                 )

@@ -67,7 +67,7 @@ class TestOrthogonalRegion:
         cfg = make_cfg()
         r_M_out = max_mmtc_rate_orth(build_trial_table(cfg))
         pts = orthogonal_region(cfg, [0.0, 0.5, 1.0], r_M_out)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         assert pts[0].r_B == 0.0 and pts[2].r_M == 0.0
         assert pts[2].r_B == pytest.approx(op.r_B_out)
         assert pts[1].r_B == pytest.approx(0.5 * pts[2].r_B)
@@ -96,14 +96,14 @@ class TestMinFeasibleGammaTar:
     def test_zero_broadband_rate_returns_lower_bracket(self):
         cfg = make_cfg()
         table = build_trial_table(cfg)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         g = min_feasible_gamma_tar(cfg, 0.0, 0.5, table=table)
         assert g is not None and g == pytest.approx(op.gamma_tar * 1e-9, rel=1e-6)
 
     def test_respects_average_power_cap(self):
         cfg = make_cfg(L=4, M=4)
         table = build_trial_table(cfg)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         for r_B in (0.0, 0.3 * op.r_B_out, 0.9 * op.r_B_out):
             g = min_feasible_gamma_tar(cfg, r_B, 0.3, table=table)
             if g is not None:
@@ -113,7 +113,7 @@ class TestMinFeasibleGammaTar:
     def test_bisection_result_meets_eps_B(self):
         cfg = make_cfg(L=4, M=4)
         table = build_trial_table(cfg)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         r_B = 0.3 * op.r_B_out
         g = min_feasible_gamma_tar(cfg, r_B, 0.3, table=table)
         assert g is not None
@@ -127,12 +127,12 @@ class TestMaxMmtcRateNonorth:
         r_orth = max_mmtc_rate_orth(table)
         r_non, gamma, _ = max_mmtc_rate_nonorth(table, 0.0, r_orth)
         assert r_non == pytest.approx(r_orth, abs=0.02)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         assert gamma == pytest.approx(op.gamma_tar * 1e-9, rel=1e-6)
 
     def test_outage_rate_endpoint_degenerates(self):
         cfg = make_cfg()
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         r_M, gamma, _ = max_mmtc_rate_nonorth(build_trial_table(cfg), op.r_B_out, 1.0)
         assert r_M == 0.0
         assert gamma == pytest.approx(op.gamma_tar)
@@ -142,7 +142,7 @@ class TestMaxMmtcRateNonorth:
         # interval rounds onto 2^r_B - 1: the interval is empty, not an error
         cfg = make_cfg(trials=500)
         table = build_trial_table(cfg)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         for rel in (1e-8, 1e-10, 1e-12):
             r_B = op.r_B_out * (1.0 - rel)
             got = max_mmtc_rate_nonorth(table, r_B, max_mmtc_rate_orth(table))
@@ -152,7 +152,7 @@ class TestMaxMmtcRateNonorth:
 
     def test_rejects_rate_beyond_outage_rate(self):
         cfg = make_cfg(trials=500)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         with pytest.raises(ValueError):
             max_mmtc_rate_nonorth(build_trial_table(cfg), op.r_B_out * 1.01, 1.0)
 
@@ -164,7 +164,7 @@ class TestMaxMmtcRateNonorth:
         for L in (1, 4):
             cfg = make_cfg(L=L, M=4)
             table = build_trial_table(cfg)
-            op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+            op = operating_point(cfg)
             ceiling = max_mmtc_rate_orth(table)
             for frac in (0.0, 0.05, 0.1, 0.25, 0.75):
                 r_M, _, _ = max_mmtc_rate_nonorth(table, frac * op.r_B_out, ceiling)
@@ -176,7 +176,7 @@ class TestMaxMmtcRateNonorth:
         # and the search answers as one that counts again at that SNR
         cfg = make_cfg(L=L, trials=2000)
         table = build_trial_table(cfg)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         r_B_points = (0.0, 0.1 * op.r_B_out, 0.99 * op.r_B_out)
         want = [two_pass_max_rate(cfg, r_B, table) for r_B in r_B_points]
         r_M_out = max_mmtc_rate_orth(table)
@@ -213,7 +213,7 @@ class TestNonorthogonalRegion:
     def test_default_grid_size_and_monotone_trend(self):
         cfg = make_cfg(L=4, M=4, trials=8000)
         table = build_trial_table(cfg)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         grid = np.linspace(0.0, op.r_B_out, 7)
         pts = nonorthogonal_region(table, grid, max_mmtc_rate_orth(table))
         assert len(pts) == 7
@@ -241,7 +241,7 @@ class TestNonorthogonalRegion:
         # target-SNR interval is empty (r_B at the outage rate) has none
         cfg = make_cfg(L=4, M=4, trials=3000)
         table = build_trial_table(cfg)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         grid = np.linspace(0.0, op.r_B_out, 6)
         pts = nonorthogonal_region(table, grid, max_mmtc_rate_orth(table))
         for pt in pts:
@@ -261,7 +261,7 @@ class TestNonorthogonalRegion:
 class TestMaxDevices:
     def test_orthogonal_no_time_left(self):
         cfg = make_cfg(trials=500)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         points = [(op.r_B_out, "orthogonal"), (op.r_B_out * 1.3, "orthogonal")]
         assert max_devices(cfg, 0.25, points) == [0, 0]
 
@@ -294,13 +294,13 @@ class TestMaxDevices:
 
     def test_nonorthogonal_small_case_positive(self):
         cfg = make_cfg(L=4, trials=6000)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         (m,) = max_devices(cfg, 0.25, [(0.2 * op.r_B_out, "non_orthogonal")])
         assert m >= 1
 
     def test_nonorthogonal_endpoint_zero(self):
         cfg = make_cfg(trials=2000)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         assert max_devices(cfg, 0.25, [(op.r_B_out, "non_orthogonal")]) == [0]
 
     def test_empty_points(self):
@@ -313,7 +313,7 @@ class TestMaxDevices:
         import slicesim.slicing_search as search
 
         cfg = make_cfg(L=L, trials=600)
-        op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+        op = operating_point(cfg)
         points = [
             (float(r_B), mode)
             for mode in ("orthogonal", "non_orthogonal")
@@ -332,7 +332,7 @@ class TestMaxDevices:
 def per_point_max_devices(cfg, r_M, r_B, mode):
     """The device-count search for one (r_B, mode) point, as it ran before
     the points shared their tables: every probe builds its own table."""
-    op = operating_point(cfg.L, cfg.eps_B, cfg.gamma_bar_B)
+    op = operating_point(cfg)
     if mode == "orthogonal":
         alpha = r_B / op.r_B_out
         if alpha >= 1.0:
