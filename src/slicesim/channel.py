@@ -51,9 +51,10 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("L", "M"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("L", "M", "trials", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.M < 0:

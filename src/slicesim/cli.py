@@ -32,6 +32,7 @@ from .channel import SystemConfig, db_to_linear
 from .embb_analysis import operating_point
 from .monte_carlo import OutageEstimate, build_trial_tables
 from .slicing_search import (
+    PASSES_ALIVE,
     max_devices,
     max_mmtc_rate_orth,
     nonorthogonal_region,
@@ -333,7 +334,11 @@ _REGION_HEADER = [
 def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1) -> str:
     """Achievable rate pairs over the requested grids, one CSV row per point."""
     rows = []
-    for table in build_trial_tables(spec.scenario, spec.L_values, workers=workers):
+    nonorth = spec.mode in ("nonorth", "both")
+    tables = build_trial_tables(
+        spec.scenario, spec.L_values, workers=workers, passes=PASSES_ALIVE if nonorth else 1
+    )
+    for table in tables:
         cfg = table.cfg
         L = cfg.L
         op = operating_point(cfg)
@@ -348,7 +353,7 @@ def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
                     ("orth", L, cfg.M, pt.alpha, None, pt.r_B, pt.r_M,
                      1.0 - op.a_B, mm_est.p_hat, 0.0, mm_est.half_width_95)
                 )
-        if spec.mode in ("nonorth", "both"):
+        if nonorth:
             grid = np.linspace(0.0, op.r_B_out, spec.r_b_points)
             for pt in nonorthogonal_region(table, grid, r_M_out):
                 if pt.counts is None:

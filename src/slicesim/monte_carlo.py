@@ -27,6 +27,14 @@ Wilson half-width. With M = 0 the table holds only the broadband received
 powers `d`, which is all the truncated-inversion analysis needs. The
 per-realization decoders in `sic_decoder` are the reference; the test suite
 checks exact, count-level agreement between the two routes.
+
+A non-orthogonal count is split in two. `TrialTable.nonorth_pass(r_B,
+gamma_tar)` decodes once per broadband operating point and keeps per-trial
+thresholds: the running minimum of the device SINRs with the broadband
+signal pending, and whether the broadband attempt succeeds after each
+number of decoded devices. Its `NonorthPass.counts(r_M)` is then one
+comparison pass per MTC rate, so a search that probes many MTC rates at
+one target SNR decodes it once.
 """
 
 from __future__ import annotations
@@ -35,14 +43,16 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .channel import SystemConfig
 from .numerics import _normals_from_uniforms, keyed_uniforms
 
-__all__ = ["OutageEstimate", "TrialTable", "build_trial_table", "build_trial_tables"]
+__all__ = [
+    "OutageEstimate", "TrialTable", "NonorthPass", "build_trial_table", "build_trial_tables",
+]
 
 _Z95 = 1.959963984540054
 
@@ -103,25 +113,25 @@ class TrialTable:
         self.d = d
         self.prefix_min = prefix_min
 
-    def mmtc_orth_error_count(self, r_M: float) -> int:
-        """Device-slot failures, out of M * trials, under orthogonal
-        stop-on-failure decoding.
-
-        The decoded set in a trial is the longest prefix of the SIC order
-        whose SINRs all reach the threshold, so the count only needs the
-        running minimum of the no-broadband SINR chain.
-        """
+    def orth_decoded(self, r_M: float) -> np.ndarray:
+        """Per trial, the devices decoded at rate r_M under orthogonal
+        stop-on-failure decoding: the longest prefix of the SIC order whose
+        SINRs all reach the threshold, read from the running minimum of the
+        no-broadband SINR chain."""
         if self.cfg.M < 1:
             raise ValueError("mMTC outage needs at least one MTC device (M >= 1)")
         if r_M < 0:
             raise ValueError(f"r_M must be nonnegative, got {r_M}")
-        thr = 2.0**r_M - 1.0
-        decoded = int((self.prefix_min >= thr).sum())
-        return self.cfg.M * self.cfg.trials - decoded
+        return (self.prefix_min >= 2.0**r_M - 1.0).sum(axis=1)
 
-    def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float):
-        """(mMTC device-slot failures out of M * trials, broadband decode
-        failures out of trials) under the interleaved procedure.
+    def mmtc_orth_error_count(self, r_M: float) -> int:
+        """Device-slot failures, out of M * trials, under orthogonal
+        stop-on-failure decoding."""
+        return self.cfg.M * self.cfg.trials - int(self.orth_decoded(r_M).sum())
+
+    def nonorth_pass(self, r_B: float, gamma_tar: float) -> "NonorthPass":
+        """The interleaved procedure decoded at (r_B, gamma_tar) for every
+        MTC rate at once.
 
         The broadband device is conservatively always active: per trial it
         transmits at gamma_tar / ||g_B||^2 with no truncation, so its error
@@ -131,32 +141,80 @@ class TrialTable:
         cfg = self.cfg
         if cfg.M < 1:
             raise ValueError("joint outage needs at least one MTC device (M >= 1)")
-        if r_M < 0 or r_B < 0:
+        if r_B < 0:
             raise ValueError("rates must be nonnegative")
-        thr_M = 2.0**r_M - 1.0
         thr_B = 2.0**r_B - 1.0
         if not gamma_tar > thr_B:
             raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
-        T, M = cfg.trials, cfg.M
+        M = cfg.M
         P_B = gamma_tar / self.d
-        sig_with_b = (cfg.P_M * self.c * self.c) / (
-            self.interf + P_B[:, None] * self.b + self.c
-        )
-        # k: devices decoded while the broadband signal is pending, i.e. the
-        # first device that fails with it pending, or M if none fails
-        ok = sig_with_b >= thr_M
-        k = np.where(ok.all(axis=1), M, ok.argmin(axis=1))
-        # the broadband attempt at position k faces devices k.. (b_suffix);
+        # device SINRs with the broadband signal pending, P_M c^2 / (interf +
+        # P_B b + c), then their running minimum along the SIC order
+        den = P_B[:, None] * self.b
+        den += self.interf
+        den += self.c
+        runmin = np.multiply(cfg.P_M, self.c, order="F")
+        runmin *= self.c
+        runmin /= den
+        for m in range(1, M):
+            np.minimum(runmin[:, m - 1], runmin[:, m], out=runmin[:, m])
+        # the broadband attempt at position k < M faces devices k.. (b_suffix);
         # at k == M it comes last, interference-free, with SNR P_B * d
-        b_k = self.b_suffix[np.arange(T), np.minimum(k, M - 1)]
-        embb_ok = np.where(
-            k < M, P_B * self.d * self.d / (b_k + self.d) >= thr_B, P_B * self.d >= thr_B
-        )
+        embb_ok_at = np.empty((cfg.trials, M + 1), dtype=bool, order="F")
+        sinr = np.add(self.b_suffix, self.d[:, None], out=den)
+        np.divide((P_B * self.d * self.d)[:, None], sinr, out=sinr)
+        np.greater_equal(sinr, thr_B, out=embb_ok_at[:, :M])
+        np.greater_equal(P_B * self.d, thr_B, out=embb_ok_at[:, M])
+        return NonorthPass(self, r_B, gamma_tar, runmin, embb_ok_at)
+
+    def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float):
+        """(mMTC device-slot failures out of M * trials, broadband decode
+        failures out of trials) under the interleaved procedure: the counts
+        of `nonorth_pass(r_B, gamma_tar)` at r_M."""
+        return self.nonorth_pass(r_B, gamma_tar).counts(r_M)
+
+
+class NonorthPass:
+    """One decode of the interleaved procedure at (r_B, gamma_tar) on a
+    trial table, answering every MTC rate with one comparison pass.
+
+    With the broadband signal pending, device m decodes iff its SINR and
+    those of every device before it reach 2^r_M - 1; the rate enters only
+    through that threshold. So the pass keeps, in SIC order,
+      runmin     (T, M)    running minimum of the device SINRs with the
+                           broadband signal pending
+      embb_ok_at (T, M+1)  whether the broadband attempt succeeds when made
+                           after k devices, k = 0..M
+    and `counts(r_M)` reads k, the devices decoded before the attempt, as
+    the number of runmin entries that reach the threshold.
+    """
+
+    def __init__(self, table: TrialTable, r_B: float, gamma_tar: float, runmin, embb_ok_at):
+        self.table = table
+        self.r_B = r_B
+        self.gamma_tar = gamma_tar
+        self.runmin = runmin
+        self.embb_ok_at = embb_ok_at
+
+    def counts(self, r_M: float, orth_decoded: Optional[np.ndarray] = None):
+        """(mMTC device-slot failures out of M * trials, broadband decode
+        failures out of trials) at MTC rate r_M. `orth_decoded` is the
+        table's `orth_decoded(r_M)`, computed here when not given."""
+        if r_M < 0:
+            raise ValueError("rates must be nonnegative")
+        T, M = self.table.cfg.trials, self.table.cfg.M
+        if orth_decoded is None:
+            orth_decoded = self.table.orth_decoded(r_M)
+        # every SINR denominator is positive, so no entry is NaN and the
+        # count of entries at or above the threshold is the first failure
+        k = (self.runmin >= 2.0**r_M - 1.0).sum(axis=1, dtype=np.int32)
+        # embb_ok_at[t, k[t]] through the column-major flat index, which
+        # numpy gathers faster than a two-array index
+        embb_ok = self.embb_ok_at.ravel(order="F")[k * np.intp(T) + np.arange(T)]
         # a rescued trial goes on from device k to the first failure of the
         # no-broadband chain; dropping P_B * b >= 0 from a denominator cannot
         # lower an SINR, so that failure is at or after k: the orthogonal count
-        n_orth = (self.prefix_min >= thr_M).sum(axis=1)
-        n_dec = np.where(embb_ok, n_orth, k)
+        n_dec = np.where(embb_ok, orth_decoded, k)
         mm_err = M * T - int(n_dec.sum())
         eb_err = T - int(embb_ok.sum())
         return mm_err, eb_err
@@ -195,7 +253,7 @@ def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
 
 
 def build_trial_tables(
-    cfg: SystemConfig, L_values: Sequence[int], workers: int = 1
+    cfg: SystemConfig, L_values: Sequence[int], workers: int = 1, *, passes: int = 1
 ) -> List[TrialTable]:
     """Trial tables of cfg at each antenna count in L_values, in that order.
 
@@ -207,8 +265,10 @@ def build_trial_tables(
 
     Every table of the sweep is alive at once. Raises MemoryError, before
     allocating, when the tables, plus the draws of the chunks in flight,
-    plus the larger of one chunk's Gram block and one count pass's
-    temporaries, exceed the machine's physical memory.
+    plus the larger of one chunk's Gram block and the count temporaries,
+    exceed the machine's physical memory. The count temporaries are those
+    of `passes` `NonorthPass`es alive at once: the most the caller's
+    searches hold on one table.
     """
     T, M = cfg.trials, cfg.M
     width = 2 * max(L_values) * (M + 1)
@@ -217,16 +277,17 @@ def build_trial_tables(
     table_bytes = T * (5 * M + 1) * 8  # five (T, M) arrays and d, float64
     draw_bytes = min(step, T) * width * 16  # a chunk's uniforms and normals
     gram_bytes = min(step, T) * M * M * 16
-    # a `nonorth_error_counts` pass peaks at about two (T, M) float64 arrays
-    eval_bytes = 2 * T * M * 8
+    # a pass being decoded and counted peaks at about two (T, M) float64
+    # arrays; each other pass kept holds a (T, M) float64 and a (T, M + 1) bool
+    eval_bytes = 2 * T * M * 8 + (passes - 1) * (8 * T * M + T * (M + 1))
     need = len(L_values) * table_bytes + in_flight * draw_bytes + max(gram_bytes, eval_bytes)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
         raise MemoryError(
             f"{len(L_values)} trial table(s) of {table_bytes} bytes, {in_flight} chunk "
             f"draw(s) of {draw_bytes} bytes, and a chunk Gram of {gram_bytes} bytes "
-            f"or count temporaries of {eval_bytes} bytes exceed the {physical} "
-            f"bytes of physical memory"
+            f"or the count temporaries of {passes} decode pass(es), {eval_bytes} "
+            f"bytes, exceed the {physical} bytes of physical memory"
         )
 
     def column():

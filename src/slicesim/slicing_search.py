@@ -28,9 +28,18 @@ device-count search. The broadband error count is not monotone in the
 target SNR (a strong broadband signal is decoded and removed early), so
 the target-SNR bisection returns the feasible end of a bracket around one
 infeasible-to-feasible crossing, which need not be the smallest feasible
-value. Each probed target SNR costs one count pass: the pass that accepts
-a target SNR also gives the MTC error count checked against eps_M, and
-the accepted point carries the counts of that pass.
+value. The count that accepts a target SNR also gives the MTC error count
+checked against eps_M, and the accepted point carries that count.
+
+A target SNR is decoded once per path (`TrialTable.nonorth_pass`) and
+counted once per MTC rate. Within one r_B point every rate probe walks the
+same target-SNR bisection tree from the same bracket, and consecutive
+probes share a prefix of their walks. The rate search keeps the passes of
+one path down that tree, at most PASSES_ALIVE of them: a probe counts the
+passes on the path while its walk follows it, and where the walk leaves
+the path, the passes further down are dropped and the walk's own decodes
+take their place. The device-count search decodes each target SNR it
+probes and drops the pass after counting it.
 
 The device-count search needs a table per probed device count. It answers
 all (r_B, mode) points of one antenna count together, so each count is
@@ -39,6 +48,7 @@ built once and only one table is alive at a time.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -47,7 +57,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .embb_analysis import EmbbOperatingPoint, operating_point
-from .monte_carlo import TrialTable, build_trial_table
+from .monte_carlo import NonorthPass, TrialTable, build_trial_table
 
 __all__ = [
     "RatePoint",
@@ -57,12 +67,20 @@ __all__ = [
     "max_mmtc_rate_nonorth",
     "nonorthogonal_region",
     "max_devices",
+    "PASSES_ALIVE",
 ]
 
 RATE_TOL = 0.01  # bits/s/Hz, below the plot resolution of the target figures
 GAMMA_REL_TOL = 0.01
+GAMMA_LO_FRACTION = 1e-9  # the bracket's lower end, as a fraction of the way to the cap
 RATE_CAP = 64.0  # bits/s/Hz, the largest MTC rate `max_mmtc_rate_orth` returns
 M_CAP = 4096  # largest device count `max_devices` probes
+# Decode passes a rate search holds at once: one target-SNR path, that is
+# the two bracket ends and the bisection steps that take the widest bracket,
+# hi / lo = 1 / GAMMA_LO_FRACTION, down to GAMMA_REL_TOL
+PASSES_ALIVE = 2 + math.ceil(
+    math.log2(math.log(1.0 / GAMMA_LO_FRACTION) / math.log1p(GAMMA_REL_TOL))
+)
 
 Counts = Tuple[int, int]  # `TrialTable.nonorth_error_counts`: (MTC, broadband)
 
@@ -149,7 +167,7 @@ def _gamma_bracket(op: EmbbOperatingPoint, r_B: float) -> Optional[Tuple[float, 
     unit-average-power bound); None when it is empty."""
     thr_B = 2.0**r_B - 1.0
     hi = op.gamma_tar
-    lo = thr_B + (hi - thr_B) * 1e-9
+    lo = thr_B + (hi - thr_B) * GAMMA_LO_FRACTION
     return (lo, hi) if lo > thr_B else None
 
 
@@ -178,14 +196,35 @@ def min_feasible_gamma_tar(
 
 
 def _gamma_search(
-    table: TrialTable, bracket: Tuple[float, float], r_B: float, r_M: float
+    table: TrialTable,
+    bracket: Tuple[float, float],
+    r_B: float,
+    r_M: float,
+    path: Optional[List[Tuple[float, NonorthPass]]] = None,
 ) -> Optional[Tuple[float, Counts]]:
     """The search of `min_feasible_gamma_tar` on a nonempty admissible
-    interval: (target SNR, the `nonorth_error_counts` at it), or None."""
+    interval: (target SNR, the `nonorth_error_counts` at it), or None.
+
+    Without `path` each probed target SNR is decoded and dropped. A `path`
+    holds the (target SNR, pass) pairs walked by earlier searches of the
+    same table, r_B and bracket. They all walk one bisection tree from the
+    bracket, and a pass does not depend on r_M, so this search counts the
+    passes of `path` while it follows it, drops the rest of `path` where it
+    leaves it, and leaves its own walk in `path`.
+    """
     cfg = table.cfg
+    orth_decoded = table.orth_decoded(r_M)
+    walked = 0
 
     def counts(g: float) -> Counts:
-        return table.nonorth_error_counts(r_M, r_B, g)
+        nonlocal walked
+        if path is None:
+            return table.nonorth_pass(r_B, g).counts(r_M, orth_decoded)
+        if walked == len(path) or path[walked][0] != g:
+            del path[walked:]  # off the path: its passes further on are never reached
+            path.append((g, table.nonorth_pass(r_B, g)))
+        walked += 1
+        return path[walked - 1][1].counts(r_M, orth_decoded)
 
     def embb_ok(errors: Counts) -> bool:
         return errors[1] / cfg.trials <= cfg.eps_B
@@ -208,13 +247,18 @@ def _gamma_search(
 
 
 def _accepted(
-    table: TrialTable, bracket: Tuple[float, float], r_B: float, r_M: float
+    table: TrialTable,
+    bracket: Tuple[float, float],
+    r_B: float,
+    r_M: float,
+    path: Optional[List[Tuple[float, NonorthPass]]] = None,
 ) -> Optional[Tuple[float, Counts]]:
     """(target SNR, its counts) accepted at (r_B, r_M) on the table: the
     target SNR that the search over the nonempty admissible interval
     `bracket` finds within eps_B, when the MTC outage of the same count pass
-    meets eps_M; None when the rate pair is infeasible."""
-    found = _gamma_search(table, bracket, r_B, r_M)
+    meets eps_M; None when the rate pair is infeasible. `path` is that of
+    `_gamma_search`."""
+    found = _gamma_search(table, bracket, r_B, r_M, path)
     if found is None:
         return None
     cfg = table.cfg
@@ -244,13 +288,16 @@ def max_mmtc_rate_nonorth(
     bracket = _gamma_bracket(op, r_B)
     if bracket is None:
         return 0.0, op.gamma_tar, None
+    # the passes of one path down this bracket's target-SNR tree, which
+    # every rate probe walks (`_gamma_search`)
+    path = []
     # rate 0 is always feasible: every device decodes with the broadband
     # signal pending, which is then decoded interference-free
-    lo, best = 0.0, _accepted(table, bracket, r_B, 0.0)
+    lo, best = 0.0, _accepted(table, bracket, r_B, 0.0, path)
     hi = r_M_out + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        found = _accepted(table, bracket, r_B, mid)
+        found = _accepted(table, bracket, r_B, mid, path)
         if found is None:
             hi = mid
         else:

@@ -44,6 +44,12 @@ class TestSystemConfig:
             ("P_M", 0.0),
             ("trials", 0),
             ("seed", -1),
+            ("trials", 1000.5),
+            ("seed", 1.5),
+            ("trials", True),
+            ("seed", True),
+            ("L", True),
+            ("M", False),
         ],
     )
     def test_rejects_bad_field(self, field, value):

@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
+from conftest import assert_walks_share_passes
 
 import slicesim.cli
 import slicesim.slicing_search
@@ -18,7 +19,7 @@ from slicesim.cli import (
     run_outage,
     run_region,
 )
-from slicesim.monte_carlo import TrialTable
+from slicesim.slicing_search import PASSES_ALIVE
 
 GOOD_CONFIG = """
 # minimal scenario
@@ -34,6 +35,7 @@ seed = 7
 
 
 FIG3_CSV = Path(__file__).parent / "data" / "embb_fig3.csv"
+REGION_CSV = Path(__file__).parent / "data" / "region_small.csv"
 
 
 def rows_of(text):
@@ -236,25 +238,21 @@ class TestRunRegion:
         modes = {row["mode"] for row in rows_of(run_region(spec))}
         assert modes == {"orth", "nonorth"}
 
-    def test_one_endpoint_per_table_and_no_recount(self, tmp_path, monkeypatch):
+    def test_one_endpoint_per_table_and_no_recount(self, tmp_path, monkeypatch, decodes):
         # the orthogonal endpoint is read once per table and is the ceiling
         # of the non-orthogonal search; the rows print the counts the search
-        # accepted, so no operating point of a table is counted twice
-        endpoints, seen = [], []
+        # accepted, so no operating point of a table is counted twice; a
+        # rate probe decodes each target SNR once, none that the previous
+        # probe's walk decoded, and one walk of passes is alive at most
+        endpoints = []
         endpoint = slicesim.slicing_search.max_mmtc_rate_orth
-        count = TrialTable.nonorth_error_counts
 
         def counting_endpoint(*args, **kwargs):
             endpoints.append(args)
             return endpoint(*args, **kwargs)
 
-        def counting(self, r_M, r_B, gamma_tar):
-            seen.append((self.cfg.L, r_M, r_B, gamma_tar))
-            return count(self, r_M, r_B, gamma_tar)
-
         for module in (slicesim.cli, slicesim.slicing_search):
             monkeypatch.setattr(module, "max_mmtc_rate_orth", counting_endpoint)
-        monkeypatch.setattr(TrialTable, "nonorth_error_counts", counting)
         cfg = tmp_path / "region.cfg"
         cfg.write_text(
             GOOD_CONFIG.replace("L = 2", "L = 1,4")
@@ -264,7 +262,20 @@ class TestRunRegion:
         assert main(["region", "--config", str(cfg), "--trials", "400", "--out", str(out)]) == 0
         assert len(rows_of(out.read_text())) == 2 * (3 + 11)
         assert len(endpoints) == 2  # one per antenna count
+        seen = [event[1:] for event in decodes if event[0] == "count"]
         assert len(seen) > 2 * 11 and len(seen) == len(set(seen))
+        assert len([event for event in decodes if event[0] == "pass"]) < len(seen)
+        assert_walks_share_passes(decodes, PASSES_ALIVE)
+
+    def test_small_sweep_bytes_are_pinned(self, tmp_path):
+        # both modes of a fig3 sweep at L = 1, 8 on 2000 trials of seed 1
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("L = 1,8\nalpha_points = 5\nr_b_points = 11\n")
+        out = tmp_path / "region.csv"
+        argv = ["region", "--preset", "fig3", "--config", str(cfg), "--trials", "2000",
+                "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == REGION_CSV.read_bytes()
 
     def test_deterministic_output(self):
         spec = parse_spec(

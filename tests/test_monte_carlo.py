@@ -19,6 +19,12 @@ from slicesim.monte_carlo import (
     wilson_half_width,
 )
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
+from slicesim.slicing_search import (
+    PASSES_ALIVE,
+    _gamma_bracket,
+    max_mmtc_rate_nonorth,
+    max_mmtc_rate_orth,
+)
 
 
 def make_cfg(**kw):
@@ -100,6 +106,54 @@ class TestRouteEquivalence:
             assert gains[t] == pytest.approx(d, rel=1e-12)
 
 
+def replay_counts(table, r_M, r_B, gamma_tar):
+    """Reference for `NonorthPass.counts`: the decode replayed at one rate
+    pair, the first device failure along the SIC order found by argmin and
+    the broadband attempt gathered at that position."""
+    cfg = table.cfg
+    T, M = cfg.trials, cfg.M
+    thr_M = 2.0**r_M - 1.0
+    thr_B = 2.0**r_B - 1.0
+    P_B = gamma_tar / table.d
+    sig_with_b = (cfg.P_M * table.c * table.c) / (
+        table.interf + P_B[:, None] * table.b + table.c
+    )
+    ok = sig_with_b >= thr_M
+    k = np.where(ok.all(axis=1), M, ok.argmin(axis=1))
+    b_k = table.b_suffix[np.arange(T), np.minimum(k, M - 1)]
+    embb_ok = np.where(
+        k < M, P_B * table.d * table.d / (b_k + table.d) >= thr_B, P_B * table.d >= thr_B
+    )
+    n_orth = (table.prefix_min >= thr_M).sum(axis=1)
+    n_dec = np.where(embb_ok, n_orth, k)
+    return M * T - int(n_dec.sum()), T - int(embb_ok.sum())
+
+
+class TestNonorthPass:
+    @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 300)])
+    def test_one_pass_answers_every_rate_as_the_replay(self, L, M):
+        # the shapes of TestRouteEquivalence: M = 300 spans two chunks. At
+        # each r_B one pass per target SNR, the bracket's two ends and its
+        # geometric middle, answers r_M = 0 (k == M), the r_M the search
+        # accepts there, random rates and r_M = 20 (k == 0)
+        cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 60)
+        table = build_trial_table(cfg)
+        op = operating_point(cfg)
+        r_M_out = max_mmtc_rate_orth(table)
+        rng = np.random.default_rng(L * 1000 + M)
+        for r_B in (0.0, 0.3 * op.r_B_out, 0.7 * op.r_B_out):
+            lo, hi = _gamma_bracket(op, r_B)
+            accepted = max_mmtc_rate_nonorth(table, r_B, r_M_out)[0]
+            rates = [0.0, accepted, 20.0, *rng.uniform(0.0, 2.5, 4)]
+            for gamma in (lo, float(np.sqrt(lo * hi)), hi):
+                found = table.nonorth_pass(r_B, gamma)
+                for r_M in rates:
+                    want = replay_counts(table, r_M, r_B, gamma)
+                    assert found.counts(r_M) == want, (r_B, gamma, r_M)
+                    assert found.counts(r_M, table.orth_decoded(r_M)) == want
+                    assert table.nonorth_error_counts(r_M, r_B, gamma) == want
+
+
 def first_failures(table, r_M, gamma):
     """Per trial, the devices decoded while the broadband signal is pending:
     the length of the leading run of SINRs that reach the threshold."""
@@ -167,21 +221,24 @@ class TestDeterminism:
     def test_memory_check_counts_the_count_pass(self, monkeypatch):
         # at L = 2, M = 1 and T = 32768 the table is 6 * T * 8 bytes, a
         # chunk's draw 16384 * 8 uniforms and as many normals, its Gram block
-        # 16384 * 16 bytes, and one count pass's temporaries 2 * T * 8 bytes:
-        # the table, a draw and its Gram fit, the table, a draw and its
-        # evaluation not
+        # 16384 * 16 bytes; a rate search holds PASSES_ALIVE decode passes,
+        # one being counted with temporaries of 2 * T * 8 bytes and each
+        # other one 8 * T + 2 * T bytes: the table, a draw and its Gram fit,
+        # the table, a draw and the search's passes not
         T = 32768
-        need = 6 * T * 8 + 16384 * 8 * 16 + 2 * T * 8
+        need = 6 * T * 8 + 16384 * 8 * 16 + 2 * T * 8 + (PASSES_ALIVE - 1) * 10 * T
 
         def physical(n):
             sysconf = lambda name: n if name == "SC_PHYS_PAGES" else 1  # noqa: E731
             monkeypatch.setattr(monte_carlo.os, "sysconf", sysconf)
 
+        cfg = make_cfg(M=1, trials=T)
         physical(need - 1)
-        with pytest.raises(MemoryError, match="count temporaries"):
-            build_trial_table(make_cfg(M=1, trials=T))
+        with pytest.raises(MemoryError, match=f"count temporaries of {PASSES_ALIVE} "):
+            build_trial_tables(cfg, (2,), passes=PASSES_ALIVE)
+        assert build_trial_table(cfg).c.shape == (T, 1)  # one pass: max-devices
         physical(need)
-        assert build_trial_table(make_cfg(M=1, trials=T)).c.shape == (T, 1)
+        assert build_trial_tables(cfg, (2,), passes=PASSES_ALIVE)[0].c.shape == (T, 1)
 
     def test_memory_check_counts_every_table_of_a_sweep(self, monkeypatch):
         # at M = 1 and T = 32768 each table is 6 * T * 8 bytes; the sweep at

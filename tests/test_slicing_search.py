@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import assert_walks_share_passes, rate_probes
 
 from slicesim.channel import SystemConfig
 from slicesim.embb_analysis import operating_point
-from slicesim.monte_carlo import TrialTable, build_trial_table
+from slicesim.monte_carlo import build_trial_table
 from slicesim.slicing_search import (
+    PASSES_ALIVE,
     RATE_CAP,
     RATE_TOL,
     max_devices,
@@ -171,26 +173,25 @@ class TestMaxMmtcRateNonorth:
                 assert r_M <= ceiling
 
     @pytest.mark.parametrize("L", [1, 8])
-    def test_no_operating_point_is_counted_twice(self, L, monkeypatch):
+    def test_no_operating_point_is_counted_twice(self, L, decodes):
         # the count pass that accepts a target SNR also gives the MTC count,
-        # and the search answers as one that counts again at that SNR
+        # and the search answers as one that counts again at that SNR; a rate
+        # probe decodes each target SNR once and counts the passes that the
+        # previous probe's walk decoded, holding at most one walk of passes
         cfg = make_cfg(L=L, trials=2000)
         table = build_trial_table(cfg)
         op = operating_point(cfg)
         r_B_points = (0.0, 0.1 * op.r_B_out, 0.99 * op.r_B_out)
         want = [two_pass_max_rate(cfg, r_B, table) for r_B in r_B_points]
         r_M_out = max_mmtc_rate_orth(table)
-        seen, count = [], TrialTable.nonorth_error_counts
-
-        def counting(self, r_M, r_B, gamma_tar):
-            seen.append((r_M, r_B, gamma_tar))
-            return count(self, r_M, r_B, gamma_tar)
-
-        monkeypatch.setattr(TrialTable, "nonorth_error_counts", counting)
         for r_B, expected in zip(r_B_points, want):
-            seen.clear()
+            decodes.clear()
             assert max_mmtc_rate_nonorth(table, r_B, r_M_out)[:2] == expected
+            seen = [event[2:] for event in decodes if event[0] == "count"]
             assert len(seen) > 1 and len(seen) == len(set(seen)), r_B
+            assert len(rate_probes(decodes)) > 1
+            assert len([event for event in decodes if event[0] == "pass"]) < len(seen)
+            assert_walks_share_passes(decodes, PASSES_ALIVE)
 
 
 def two_pass_max_rate(cfg, r_B, table):
