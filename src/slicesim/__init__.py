@@ -4,11 +4,10 @@ sharing a slot at a multi-antenna base station, under orthogonal
 
 from .channel import ChannelRealization, SystemConfig, db_to_linear, draw_realization
 from .embb_analysis import EmbbOperatingPoint, operating_point
-from .monte_carlo import OutageEstimate, build_trial_table, build_trial_tables
+from .monte_carlo import build_trial_table, build_trial_tables
 from .numerics import RngStream
 from .sic_decoder import DecodeOutcome, decode_non_orthogonal, decode_orthogonal, sic_order
 from .slicing_search import (
-    RatePoint,
     max_devices,
     max_mmtc_rate_nonorth,
     max_mmtc_rate_orth,

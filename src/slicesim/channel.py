@@ -11,6 +11,7 @@ conversion happens once, at config-parse time.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -60,8 +61,9 @@ class SystemConfig:
         if self.M < 0:
             raise ValueError(f"M must be >= 0, got {self.M}")
         for name in ("gamma_bar_B", "gamma_bar_M", "P_M"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         for name in ("eps_B", "eps_M"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:

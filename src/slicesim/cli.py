@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ import numpy as np
 
 from .channel import SystemConfig, db_to_linear
 from .embb_analysis import operating_point
-from .monte_carlo import OutageEstimate, build_trial_tables
+from .monte_carlo import build_trial_tables, wilson_half_width
 from .slicing_search import (
     PASSES_ALIVE,
     max_devices,
@@ -89,6 +90,10 @@ class ExperimentSpec:
             raise ConfigError(
                 f"the {self.command} command needs M >= 1, got {self.scenario.M}"
             )
+        for name in ("r_M", "r_B", "gamma_tar"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"config field {name!r} must be finite, got {value}")
         if self.command == "max-devices" and self.r_M is not None and self.r_M <= 0:
             raise ConfigError(f"config field 'r_M' must be positive, got {self.r_M}")
 
@@ -259,10 +264,9 @@ def run_embb_analytic(spec: ExperimentSpec, out: Optional[str] = None) -> str:
 def _nonorth_stats(cfg: SystemConfig, counts: Tuple[int, int]) -> Tuple:
     """(eps_B_hat, eps_M_hat, halfwidth_B, halfwidth_M) from the
     `nonorth_error_counts` of one non-orthogonal operating point."""
-    mm_err, eb_err = counts
-    mm = OutageEstimate.from_counts(mm_err, cfg.M * cfg.trials)
-    eb = OutageEstimate.from_counts(eb_err, cfg.trials)
-    return eb.p_hat, mm.p_hat, eb.half_width_95, mm.half_width_95
+    n_M, n_B = cfg.M * cfg.trials, cfg.trials
+    p_M, p_B = counts[0] / n_M, counts[1] / n_B
+    return p_B, p_M, wilson_half_width(p_B, n_B), wilson_half_width(p_M, n_M)
 
 
 _OUTAGE_HEADER = [
@@ -309,12 +313,11 @@ def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
     for table, gamma in zip(tables, gammas):
         cfg = table.cfg
         if spec.mode in ("orth", "both"):
-            est = OutageEstimate.from_counts(
-                table.mmtc_orth_error_count(spec.r_M), cfg.M * cfg.trials
-            )
+            n = cfg.M * cfg.trials
+            p = table.mmtc_orth_error_count(spec.r_M) / n
             rows.append(
                 ("orth", cfg.L, cfg.M, spec.r_M, None, None,
-                 None, est.p_hat, None, est.half_width_95)
+                 None, p, None, wilson_half_width(p, n))
             )
         if gamma is not None:
             counts = table.nonorth_error_counts(spec.r_M, spec.r_B, gamma)
@@ -344,27 +347,25 @@ def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
         op = operating_point(cfg)
         r_M_out = max_mmtc_rate_orth(table)
         if spec.mode in ("orth", "both"):
-            mm_est = OutageEstimate.from_counts(
-                table.mmtc_orth_error_count(r_M_out), cfg.M * cfg.trials
-            )
+            n = cfg.M * cfg.trials
+            p = table.mmtc_orth_error_count(r_M_out) / n
             alphas = np.linspace(0.0, 1.0, spec.alpha_points)
-            for pt in orthogonal_region(cfg, alphas, r_M_out):
+            for alpha, (r_B, r_M) in zip(alphas, orthogonal_region(cfg, alphas, r_M_out)):
                 rows.append(
-                    ("orth", L, cfg.M, pt.alpha, None, pt.r_B, pt.r_M,
-                     1.0 - op.a_B, mm_est.p_hat, 0.0, mm_est.half_width_95)
+                    ("orth", L, cfg.M, alpha, None, r_B, r_M,
+                     1.0 - op.a_B, p, 0.0, wilson_half_width(p, n))
                 )
         if nonorth:
             grid = np.linspace(0.0, op.r_B_out, spec.r_b_points)
-            for pt in nonorthogonal_region(table, grid, r_M_out):
-                if pt.counts is None:
+            for r_B, r_M, gamma, counts in nonorthogonal_region(table, grid, r_M_out):
+                if counts is None:
                     # degenerate grid endpoint (r_B at the outage rate): the
                     # accepted rate is 0, where both error probabilities vanish
                     stats = (0.0, 0.0, 0.0, 0.0)
                 else:
-                    stats = _nonorth_stats(cfg, pt.counts)
+                    stats = _nonorth_stats(cfg, counts)
                 rows.append(
-                    ("nonorth", L, cfg.M, None, _fmt_gamma(pt.gamma_tar),
-                     pt.r_B, pt.r_M) + stats
+                    ("nonorth", L, cfg.M, None, _fmt_gamma(gamma), r_B, r_M) + stats
                 )
     return _write_csv(_REGION_HEADER, rows, out)
 

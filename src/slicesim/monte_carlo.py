@@ -21,12 +21,12 @@ every L's table from its column prefix; `build_trial_table` is the sweep
 of one antenna count.
 
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
-are the evaluation API: they return error counts, and
-`OutageEstimate.from_counts` turns a count into an estimate with its
-Wilson half-width. With M = 0 the table holds only the broadband received
-powers `d`, which is all the truncated-inversion analysis needs. The
-per-realization decoders in `sic_decoder` are the reference; the test suite
-checks exact, count-level agreement between the two routes.
+are the evaluation API: they return error counts, whose estimate is
+errors / n with `wilson_half_width` for its 95% interval. With M = 0 the
+table holds only the broadband received powers `d`, which is all the
+truncated-inversion analysis needs. The per-realization decoders in
+`sic_decoder` are the reference; the test suite checks exact,
+count-level agreement between the two routes.
 
 A non-orthogonal count is split in two. `TrialTable.nonorth_pass(r_B,
 gamma_tar)` decodes once per broadband operating point and keeps per-trial
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -51,7 +51,8 @@ from .channel import SystemConfig
 from .numerics import _normals_from_uniforms, keyed_uniforms
 
 __all__ = [
-    "OutageEstimate", "TrialTable", "NonorthPass", "build_trial_table", "build_trial_tables",
+    "wilson_half_width", "TrialTable", "NonorthPass", "build_trial_table",
+    "build_trial_tables",
 ]
 
 _Z95 = 1.959963984540054
@@ -65,24 +66,6 @@ def wilson_half_width(p_hat: float, n: int) -> float:
     return (_Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n))) / (
         1.0 + z2 / n
     )
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    """Probability estimate with its denominator and 95% half-width.
-
-    `trials` is the denominator of p_hat: the trial count for per-slot
-    events, M * trials for per-device mMTC events.
-    """
-
-    p_hat: float
-    trials: int
-    half_width_95: float
-
-    @classmethod
-    def from_counts(cls, errors: int, n: int) -> "OutageEstimate":
-        p = errors / n
-        return cls(p_hat=p, trials=n, half_width_95=wilson_half_width(p, n))
 
 
 class TrialTable:
@@ -165,7 +148,7 @@ class TrialTable:
         np.divide((P_B * self.d * self.d)[:, None], sinr, out=sinr)
         np.greater_equal(sinr, thr_B, out=embb_ok_at[:, :M])
         np.greater_equal(P_B * self.d, thr_B, out=embb_ok_at[:, M])
-        return NonorthPass(self, r_B, gamma_tar, runmin, embb_ok_at)
+        return NonorthPass(self, runmin, embb_ok_at)
 
     def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float):
         """(mMTC device-slot failures out of M * trials, broadband decode
@@ -189,10 +172,8 @@ class NonorthPass:
     the number of runmin entries that reach the threshold.
     """
 
-    def __init__(self, table: TrialTable, r_B: float, gamma_tar: float, runmin, embb_ok_at):
+    def __init__(self, table: TrialTable, runmin, embb_ok_at):
         self.table = table
-        self.r_B = r_B
-        self.gamma_tar = gamma_tar
         self.runmin = runmin
         self.embb_ok_at = embb_ok_at
 

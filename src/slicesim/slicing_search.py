@@ -15,21 +15,23 @@ devices, so the MTC constraint is checked at that value). The target SNR
 is capped by the unit-average-power value of the orthogonal analysis.
 
 Every rate search takes the trial table it searches, which carries its
-configuration; the rate searches of one scenario share that table (common
-random numbers), and every search tests feasibility on exact error counts
-as `errors / n <= eps`. The orthogonal MTC endpoint is read exactly from
-the table: the largest rate whose outage meets eps_M follows from one
-order statistic of the running-minimum SINRs, with no tolerance. The
-caller computes it once per table and hands it to the non-orthogonal
-search as its rate ceiling. That search bisects the MTC rate to RATE_TOL
-up to the ceiling and the target SNR to GAMMA_REL_TOL, within a bracket
-fixed once per r_B; one predicate decides its feasibility and that of the
+configuration; the rate searches of one scenario share that table
+(common random numbers), and every search tests feasibility on exact
+error counts as `errors / n <= eps`. The orthogonal MTC endpoint is read
+exactly from the table: the largest rate whose outage meets eps_M
+follows from one order statistic of the running-minimum SINRs, with no
+tolerance, and so does whether the cap RATE_CAP is feasible. The caller
+computes it once per table and hands it to the non-orthogonal search as
+its rate ceiling. That search bisects the MTC rate to RATE_TOL up to the
+ceiling and the target SNR to GAMMA_REL_TOL, within a bracket fixed once
+per r_B; one predicate decides its feasibility and that of the
 device-count search. The broadband error count is not monotone in the
 target SNR (a strong broadband signal is decoded and removed early), so
-the target-SNR bisection returns the feasible end of a bracket around one
-infeasible-to-feasible crossing, which need not be the smallest feasible
-value. The count that accepts a target SNR also gives the MTC error count
-checked against eps_M, and the accepted point carries that count.
+the target-SNR bisection returns the feasible end of a bracket around
+one infeasible-to-feasible crossing, which need not be the smallest
+feasible value. The count that accepts a target SNR also gives the MTC
+error count checked against eps_M, and the search returns that count
+with the rate.
 
 A target SNR is decoded once per path (`TrialTable.nonorth_pass`) and
 counted once per MTC rate. Within one r_B point every rate probe walks the
@@ -41,6 +43,9 @@ the path, the passes further down are dropped and the walk's own decodes
 take their place. The device-count search decodes each target SNR it
 probes and drops the pass after counting it.
 
+The searches return plain values, as tuples of rates, target SNRs and
+error counts, which the caller formats.
+
 The device-count search needs a table per probed device count. It answers
 all (r_B, mode) points of one antenna count together, so each count is
 built once and only one table is alive at a time.
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,7 +65,6 @@ from .embb_analysis import EmbbOperatingPoint, operating_point
 from .monte_carlo import NonorthPass, TrialTable, build_trial_table
 
 __all__ = [
-    "RatePoint",
     "max_mmtc_rate_orth",
     "orthogonal_region",
     "min_feasible_gamma_tar",
@@ -85,21 +89,6 @@ PASSES_ALIVE = 2 + math.ceil(
 Counts = Tuple[int, int]  # `TrialTable.nonorth_error_counts`: (MTC, broadband)
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """An achievable (r_B, r_M) pair with its operating point: the
-    time-sharing fraction for orthogonal points; for non-orthogonal ones the
-    accepted broadband target SNR and the `nonorth_error_counts` of the pass
-    that accepted it (None when the target-SNR interval is empty)."""
-
-    r_B: float
-    r_M: float
-    mode: str  # "orthogonal" | "non_orthogonal"
-    alpha: Optional[float] = None
-    gamma_tar: Optional[float] = None
-    counts: Optional[Counts] = None
-
-
 def max_mmtc_rate_orth(table: TrialTable) -> float:
     """Largest common MTC rate meeting the eps_M outage target without
     broadband interference, read exactly from the trial table.
@@ -116,20 +105,20 @@ def max_mmtc_rate_orth(table: TrialTable) -> float:
     if cfg.M < 1:
         raise ValueError("mMTC rate search needs M >= 1")
     n = cfg.M * cfg.trials
-    if table.mmtc_orth_error_count(RATE_CAP) / n <= cfg.eps_M:
-        warnings.warn(
-            f"mMTC rate search hit the cap {RATE_CAP} bits/s/Hz; "
-            "the outage constraint appears non-binding"
-        )
-        return RATE_CAP
     errors = int(cfg.eps_M * n)  # largest error count with errors / n <= eps_M
     while (errors + 1) / n <= cfg.eps_M:
         errors += 1
     while errors / n > cfg.eps_M:
         errors -= 1
-    k = n - errors  # >= 1, since RATE_CAP is infeasible
+    k = n - errors  # >= 1, since eps_M < 1
     # order "K" reads the column-major table as it lies, without a copy
     thr = float(np.partition(table.prefix_min.ravel(order="K"), n - k)[n - k])
+    if 2.0**RATE_CAP - 1.0 <= thr:
+        warnings.warn(
+            f"mMTC rate search hit the cap {RATE_CAP} bits/s/Hz; "
+            "the outage constraint appears non-binding"
+        )
+        return RATE_CAP
     # 0 is feasible and RATE_CAP is not; halve until the two are adjacent doubles
     lo, hi = 0.0, RATE_CAP
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -142,24 +131,17 @@ def max_mmtc_rate_orth(table: TrialTable) -> float:
 
 def orthogonal_region(
     cfg: SystemConfig, alpha_grid: Sequence[float], r_M_out: float
-) -> List[RatePoint]:
-    """Time-sharing line: alpha -> (alpha * r_B_out, (1 - alpha) * r_M_out),
-    with r_M_out the orthogonal MTC endpoint (`max_mmtc_rate_orth`)."""
+) -> List[Tuple[float, float]]:
+    """Time-sharing line: (r_B, r_M) = (alpha * r_B_out, (1 - alpha) *
+    r_M_out) per alpha, with r_M_out the orthogonal MTC endpoint
+    (`max_mmtc_rate_orth`)."""
     alphas = list(alpha_grid)
     if not alphas:
         raise ValueError("alpha_grid must not be empty")
     if any(not 0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha_grid values must lie in [0, 1]")
-    op = operating_point(cfg)
-    return [
-        RatePoint(
-            r_B=a * op.r_B_out,
-            r_M=(1.0 - a) * r_M_out,
-            mode="orthogonal",
-            alpha=a,
-        )
-        for a in alphas
-    ]
+    r_B_out = operating_point(cfg).r_B_out
+    return [(a * r_B_out, (1.0 - a) * r_M_out) for a in alphas]
 
 
 def _gamma_bracket(op: EmbbOperatingPoint, r_B: float) -> Optional[Tuple[float, float]]:
@@ -307,21 +289,14 @@ def max_mmtc_rate_nonorth(
 
 def nonorthogonal_region(
     table: TrialTable, r_B_grid: Sequence[float], r_M_out: float
-) -> List[RatePoint]:
-    """The largest MTC rate at each broadband rate of the grid, searched on
-    the table below its orthogonal endpoint r_M_out."""
+) -> List[Tuple[float, float, float, Optional[Counts]]]:
+    """(r_B, r_M, gamma_tar, counts) at each broadband rate of the grid: the
+    largest MTC rate searched on the table below its orthogonal endpoint
+    r_M_out, with the rest of `max_mmtc_rate_nonorth`'s result."""
     grid = [float(r) for r in r_B_grid]
     if not grid:
         raise ValueError("r_B_grid must not be empty")
-    points = []
-    for r_B in grid:
-        r_M, gamma, counts = max_mmtc_rate_nonorth(table, r_B, r_M_out)
-        points.append(
-            RatePoint(
-                r_B=r_B, r_M=r_M, mode="non_orthogonal", gamma_tar=gamma, counts=counts
-            )
-        )
-    return points
+    return [(r_B, *max_mmtc_rate_nonorth(table, r_B, r_M_out)) for r_B in grid]
 
 
 def _next_count(lo: int, hi: Optional[int]) -> Optional[int]:
@@ -330,19 +305,6 @@ def _next_count(lo: int, hi: Optional[int]) -> Optional[int]:
     if hi is None:
         return max(1, 2 * lo)
     return (lo + hi) // 2 if hi - lo > 1 else None
-
-
-def _count_feasible(
-    table: TrialTable, r_M: float, r_B: float, bracket: Optional[Tuple[float, float]]
-) -> bool:
-    """Whether the table's device count meets both targets at (r_M, r_B):
-    non-orthogonal with the target SNR searched in `bracket`, or orthogonal
-    when bracket is None, with r_M the rate during the MTC fraction of the
-    slot."""
-    if bracket is not None:
-        return _accepted(table, bracket, r_B, r_M) is not None
-    cfg = table.cfg
-    return table.mmtc_orth_error_count(r_M) / (cfg.M * cfg.trials) <= cfg.eps_M
 
 
 def max_devices(
@@ -370,7 +332,8 @@ def max_devices(
         raise ValueError(f"r_M must be positive, got {r_M}")
     op = operating_point(cfg)
     # point index -> (r_M, r_B, target-SNR bracket) its tables are tested at;
-    # the bracket is None in orthogonal mode
+    # the bracket is None in orthogonal mode, where r_M is the rate during the
+    # MTC fraction of the slot
     searches = {}
     for i, (r_B, mode) in enumerate(points):
         if mode == "orthogonal":
@@ -399,7 +362,12 @@ def max_devices(
         m = min(waiting)
         table = build_trial_table(replace(cfg, M=m), workers=workers)
         for i in waiting[m]:
-            brackets[i][0 if _count_feasible(table, *searches[i]) else 1] = m
+            r_M_i, r_B, gammas = searches[i]
+            if gammas is None:
+                ok = table.mmtc_orth_error_count(r_M_i) / (m * cfg.trials) <= cfg.eps_M
+            else:
+                ok = _accepted(table, gammas, r_B, r_M_i) is not None
+            brackets[i][0 if ok else 1] = m
         del table  # before the next build: one table alive at a time
     result = [0] * len(points)
     for i, (lo, hi) in brackets.items():

@@ -37,18 +37,18 @@ def decodes(monkeypatch):
     """Every decode and count on the `NonorthPass` seam, in call order:
     ("pass", L, r_B, gamma_tar, passes alive with it) per decode and
     ("count", L, r_M, r_B, gamma_tar) per count."""
-    events, refs = [], []
+    events = []
+    decoded_at = weakref.WeakKeyDictionary()  # live pass -> (r_B, gamma_tar)
     decode, count = TrialTable.nonorth_pass, NonorthPass.counts
 
     def decoding(self, r_B, gamma_tar):
         found = decode(self, r_B, gamma_tar)
-        refs.append(weakref.ref(found))
-        alive = sum(ref() is not None for ref in refs)
-        events.append(("pass", self.cfg.L, r_B, gamma_tar, alive))
+        decoded_at[found] = (r_B, gamma_tar)
+        events.append(("pass", self.cfg.L, r_B, gamma_tar, len(decoded_at)))
         return found
 
     def counting(self, r_M, *args):
-        events.append(("count", self.table.cfg.L, r_M, self.r_B, self.gamma_tar))
+        events.append(("count", self.table.cfg.L, r_M, *decoded_at[self]))
         return count(self, r_M, *args)
 
     monkeypatch.setattr(TrialTable, "nonorth_pass", decoding)

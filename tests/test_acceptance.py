@@ -156,9 +156,9 @@ def test_c06_single_user_mmtc_calibration():
 def test_c07_low_antenna_orthogonal_dominance(fig3_curves):
     op, r_M_out, points = fig3_curves[1]
     worst = -np.inf
-    for pt in points:
-        line = (1.0 - pt.r_B / op.r_B_out) * r_M_out
-        worst = max(worst, pt.r_M - line)
+    for r_B, r_M, _, _ in points:
+        line = (1.0 - r_B / op.r_B_out) * r_M_out
+        worst = max(worst, r_M - line)
     ok = worst <= 0.02
     record_criterion(7, "L=1: orthogonal dominates across the whole grid", ok,
                      f"max non-orth excess {worst:+.4f}")
@@ -171,7 +171,7 @@ def test_c08_high_antenna_nonorthogonal_advantage(fig3_curves):
     for L in (8, 16):
         op, r_M_out, points = fig3_curves[L]
         best = max(
-            pt.r_M - (1.0 - pt.r_B / op.r_B_out) * r_M_out for pt in points
+            r_M - (1.0 - r_B / op.r_B_out) * r_M_out for r_B, r_M, _, _ in points
         )
         ok &= best > 0.02
         details.append(f"L={L}: best advantage {best:+.4f}")
@@ -216,12 +216,10 @@ def test_c10_region_geometry(fig3_curves):
     for L, (op, r_M_out, points) in fig3_curves.items():
         cfg = paper_cfg(L)
         orth = orthogonal_region(cfg, np.linspace(0, 1, 41), r_M_out)
-        r_B_out, r_M_end = orth[-1].r_B, orth[0].r_M
-        for pt in orth:
-            worst_line = max(
-                worst_line, abs(pt.r_B / r_B_out + pt.r_M / r_M_end - 1.0)
-            )
-        gap = abs(points[0].r_M - r_M_out)
+        r_B_out, r_M_end = orth[-1][0], orth[0][1]
+        for r_B, r_M in orth:
+            worst_line = max(worst_line, abs(r_B / r_B_out + r_M / r_M_end - 1.0))
+        gap = abs(points[0][1] - r_M_out)
         ok &= gap <= 0.02
         details.append(f"L={L} endpoint gap {gap:.4f}")
     ok &= worst_line <= 1e-12

@@ -1,5 +1,7 @@
 """Scenario validation and channel realization statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,11 @@ class TestSystemConfig:
             ("seed", True),
             ("L", True),
             ("M", False),
+            ("gamma_bar_B", math.nan),
+            ("gamma_bar_B", math.inf),
+            ("gamma_bar_M", math.inf),
+            ("P_M", math.nan),
+            ("P_M", math.inf),
         ],
     )
     def test_rejects_bad_field(self, field, value):

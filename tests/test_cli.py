@@ -36,6 +36,8 @@ seed = 7
 
 FIG3_CSV = Path(__file__).parent / "data" / "embb_fig3.csv"
 REGION_CSV = Path(__file__).parent / "data" / "region_small.csv"
+MAX_DEVICES_CSV = Path(__file__).parent / "data" / "max_devices_small.csv"
+OUTAGE_CSV = Path(__file__).parent / "data" / "outage_sweep.csv"
 
 
 def rows_of(text):
@@ -347,6 +349,16 @@ class TestRunOutage:
         # mode both evaluates both slicing modes on one table
         assert builds == [(1, 3), (2, 3)]
 
+    def test_sweep_bytes_are_pinned(self, tmp_path):
+        # both modes at L = 1, 8, 16 on 20000 trials of the fig3 preset's seed
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("r_M = 1.0\nr_B = 4.0\nL = 1,8,16\n")
+        out = tmp_path / "outage.csv"
+        argv = ["outage", "--preset", "fig3", "--config", str(cfg), "--trials", "20000",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == OUTAGE_CSV.read_bytes()
+
 
 class TestRunMaxDevices:
     def test_csv_through_main(self, tmp_path):
@@ -380,6 +392,16 @@ class TestRunMaxDevices:
         assert len(rows_of(out.read_text())) == 16
         assert {L for L, _ in built} == {1, 4}
         assert len(built) == len(set(built))
+
+    def test_small_sweep_bytes_are_pinned(self, tmp_path):
+        # both modes of a fig5 sweep at L = 1, 8, five r_B points, 1000 trials of seed 1
+        cfg = tmp_path / "md.cfg"
+        cfg.write_text("L = 1,8\nr_b_points = 5\n")
+        out = tmp_path / "md.csv"
+        argv = ["max-devices", "--preset", "fig5", "--config", str(cfg), "--trials", "1000",
+                "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == MAX_DEVICES_CSV.read_bytes()
 
     @pytest.mark.parametrize("r_M", ["0.0", "-0.25"])
     def test_nonpositive_rate_is_2(self, tmp_path, capsys, builds, r_M):
@@ -478,6 +500,29 @@ class TestMainExitCodes:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "M >= 1" in err
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "command, old, new, field",
+        [
+            ("embb-analytic", "gamma_bar_B_db = 20", "gamma_bar_B = nan", "gamma_bar_B"),
+            ("region", "gamma_bar_M_db = 5", "gamma_bar_M = inf", "gamma_bar_M"),
+            ("outage", "seed = 7", "seed = 7\nr_M = nan\nr_B = 1.0", "r_M"),
+            ("outage", "seed = 7", "seed = 7\nr_M = 0.5\nr_B = nan", "r_B"),
+            ("outage", "seed = 7", "seed = 7\nr_M = 0.5\nr_B = 1.0\ngamma_tar = inf",
+             "gamma_tar"),
+            ("max-devices", "seed = 7", "seed = 7\nr_M = nan", "r_M"),
+        ],
+        ids=["gamma_bar_B-nan", "gamma_bar_M-inf", "r_M-nan", "r_B-nan", "gamma_tar-inf",
+             "max-devices-r_M-nan"],
+    )
+    def test_non_finite_input_is_2_before_any_build(self, tmp_path, capsys, builds,
+                                                    command, old, new, field):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(GOOD_CONFIG.replace(old, new))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and "finite" in err
         assert builds == []
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

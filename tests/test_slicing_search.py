@@ -68,23 +68,24 @@ class TestOrthogonalRegion:
     def test_endpoints_and_midpoint(self):
         cfg = make_cfg()
         r_M_out = max_mmtc_rate_orth(build_trial_table(cfg))
-        pts = orthogonal_region(cfg, [0.0, 0.5, 1.0], r_M_out)
+        (r_B0, r_M0), (r_B1, r_M1), (r_B2, r_M2) = orthogonal_region(
+            cfg, [0.0, 0.5, 1.0], r_M_out
+        )
         op = operating_point(cfg)
-        assert pts[0].r_B == 0.0 and pts[2].r_M == 0.0
-        assert pts[2].r_B == pytest.approx(op.r_B_out)
-        assert pts[1].r_B == pytest.approx(0.5 * pts[2].r_B)
-        assert pts[1].r_M == pytest.approx(0.5 * pts[0].r_M)
+        assert r_B0 == 0.0 and r_M2 == 0.0
+        assert r_B2 == pytest.approx(op.r_B_out)
+        assert r_B1 == pytest.approx(0.5 * r_B2)
+        assert r_M1 == pytest.approx(0.5 * r_M0)
 
     def test_line_identity(self):
         cfg = make_cfg()
         pts = orthogonal_region(
             cfg, np.linspace(0, 1, 11), max_mmtc_rate_orth(build_trial_table(cfg))
         )
-        r_B_out = pts[-1].r_B
-        r_M_out = pts[0].r_M
-        for pt in pts:
-            assert pt.r_B / r_B_out + pt.r_M / r_M_out == pytest.approx(1.0, abs=1e-12)
-            assert pt.mode == "orthogonal" and pt.gamma_tar is None
+        r_B_out = pts[-1][0]
+        r_M_out = pts[0][1]
+        for r_B, r_M in pts:
+            assert r_B / r_B_out + r_M / r_M_out == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_grids(self):
         cfg = make_cfg(trials=500)
@@ -218,15 +219,14 @@ class TestNonorthogonalRegion:
         grid = np.linspace(0.0, op.r_B_out, 7)
         pts = nonorthogonal_region(table, grid, max_mmtc_rate_orth(table))
         assert len(pts) == 7
-        assert pts[0].r_B == 0.0
-        assert pts[-1].r_B == pytest.approx(op.r_B_out)
-        for pt in pts:
-            assert pt.mode == "non_orthogonal"
-            assert pt.gamma_tar is not None
-            assert pt.gamma_tar <= op.gamma_tar * (1 + 1e-9)
+        assert pts[0][0] == 0.0
+        assert pts[-1][0] == pytest.approx(op.r_B_out)
+        for _, _, gamma, _ in pts:
+            assert gamma is not None
+            assert gamma <= op.gamma_tar * (1 + 1e-9)
         # nonincreasing within combined bisection tolerance
         for a, b in zip(pts, pts[1:]):
-            assert b.r_M <= a.r_M + 0.02
+            assert b[1] <= a[1] + 0.02
 
     def test_single_point_grid_reduces_to_orthogonal_endpoint(self):
         cfg = make_cfg(trials=20_000)
@@ -234,7 +234,7 @@ class TestNonorthogonalRegion:
         r_orth = max_mmtc_rate_orth(table)
         pts = nonorthogonal_region(table, [0.0], r_orth)
         assert len(pts) == 1
-        assert pts[0].r_M == pytest.approx(r_orth, abs=0.02)
+        assert pts[0][1] == pytest.approx(r_orth, abs=0.02)
 
     def test_points_carry_the_counts_that_accepted_them(self):
         # each point keeps the counts of the pass that accepted it, which a
@@ -245,14 +245,14 @@ class TestNonorthogonalRegion:
         op = operating_point(cfg)
         grid = np.linspace(0.0, op.r_B_out, 6)
         pts = nonorthogonal_region(table, grid, max_mmtc_rate_orth(table))
-        for pt in pts:
-            if pt.counts is None:
-                assert (pt.r_M, pt.gamma_tar) == (0.0, op.gamma_tar)
+        for r_B, r_M, gamma, counts in pts:
+            if counts is None:
+                assert (r_M, gamma) == (0.0, op.gamma_tar)
                 continue
-            assert pt.counts == table.nonorth_error_counts(pt.r_M, pt.r_B, pt.gamma_tar)
-            assert pt.counts[0] / (cfg.M * cfg.trials) <= cfg.eps_M
-            assert pt.counts[1] / cfg.trials <= cfg.eps_B
-        assert sum(pt.counts is not None and pt.r_M > 0 for pt in pts) >= 3
+            assert counts == table.nonorth_error_counts(r_M, r_B, gamma)
+            assert counts[0] / (cfg.M * cfg.trials) <= cfg.eps_M
+            assert counts[1] / cfg.trials <= cfg.eps_B
+        assert sum(counts is not None and r_M > 0 for _, r_M, _, counts in pts) >= 3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
