@@ -78,10 +78,10 @@ def keyed_uniforms(seed: int, first_stream: int, n_streams: int, n_per: int) -> 
 
     Reuses a single Philox instance with per-row state resets, which is
     bit-identical to constructing a fresh generator per stream but avoids
-    the per-object construction cost. Measured over 4096 streams (numpy
-    2.4, one thread on a 2-vCPU Xeon VM): 5.5 us per stream at 22
-    uniforms and 8.7 us at 352, against 20 and 23 us with a fresh
-    generator per stream.
+    the per-object construction cost, and fills each row in place. Medians
+    over 40 blocks of 4096 streams (numpy 2.4, one thread on a 2-vCPU Xeon
+    VM): 3.0 us per stream at 22 uniforms and 5.0 us at 352, against 15
+    and 16 us with a fresh generator per stream.
     """
     if n_streams < 0 or n_per < 0:
         raise ValueError("n_streams and n_per must be nonnegative")
@@ -99,5 +99,5 @@ def keyed_uniforms(seed: int, first_stream: int, n_streams: int, n_per: int) -> 
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         bg.state = state
-        out[i] = gen.random(n_per)
+        gen.random(out=out[i])
     return out

@@ -9,6 +9,7 @@ import pytest
 from conftest import assert_walks_share_passes
 
 import slicesim.cli
+import slicesim.monte_carlo
 import slicesim.slicing_search
 from slicesim.cli import (
     ConfigError,
@@ -465,8 +466,10 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("workers", ["1", "3"])
     @pytest.mark.parametrize("command", ["outage", "region"])
     def test_sweep_csv_is_its_single_antenna_runs(self, tmp_path, command, workers):
-        # M = 50 makes 1600-trial chunks, so 2000 trials are two chunks, and
-        # the L = 1 and L = 8 tables read column prefixes of the L = 16 draw
+        # M = 50 makes 1015-trial chunks at the L = 16 width, so 2000 trials
+        # are two chunks, and the L = 1 and L = 8 tables read column prefixes
+        # of the L = 16 draw
+        assert 1000 < slicesim.monte_carlo._chunk_size(50, 2 * 16 * 51) < 2000
         text = (
             GOOD_CONFIG.replace("M = 3", "M = 50").replace("trials = 800", "trials = 2000")
             + "mode = both\nr_M = 0.1\nr_B = 1.0\nalpha_points = 3\nr_b_points = 3\n"

@@ -37,6 +37,12 @@ def make_cfg(**kw):
     return SystemConfig(**base)
 
 
+def chunk_count(cfg, L_values):
+    """Chunks of trials a build of cfg's tables at L_values draws, each as
+    wide as the widest L."""
+    return -(-cfg.trials // monte_carlo._chunk_size(cfg.M, 2 * max(L_values) * (cfg.M + 1)))
+
+
 class TestOutageEstimate:
     def test_from_counts(self):
         # an estimate is errors / n with its Wilson half-width; n is M * trials
@@ -73,10 +79,11 @@ class TestRouteEquivalence:
 
     @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 300)])
     def test_nonorthogonal_counts(self, L, M):
-        # M = 300 takes 44-trial chunks: its 60 trials span two of them.
-        # r_M = 0 decodes every device first, so the broadband attempt comes
-        # last; M = 1 puts every other attempt at the last SIC position
+        # M = 300 takes 43-trial chunks at L = 12: its 60 trials span two of
+        # them. r_M = 0 decodes every device first, so the broadband attempt
+        # comes last; M = 1 puts every other attempt at the last SIC position
         cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 60)
+        assert M < 100 or chunk_count(cfg, (L,)) == 2
         table = build_trial_table(cfg)
         reals = [draw_realization(cfg, t) for t in range(cfg.trials)]
         cases = [
@@ -141,6 +148,7 @@ class TestNonorthPass:
         # geometric middle, answers r_M = 0 (k == M), the r_M the search
         # accepts there, random rates and r_M = 20 (k == 0)
         cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 60)
+        assert M < 100 or chunk_count(cfg, (L,)) == 2
         table = build_trial_table(cfg)
         op = operating_point(cfg)
         r_M_out = max_mmtc_rate_orth(table)
@@ -308,17 +316,49 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_sweep_equals_its_parts(self, workers):
-        # M = 64 makes 976-trial chunks: 2000 trials are two full chunks and
-        # a partial one, and every table of the sweep reads a column prefix
-        # of the L = 16 draw
+        # M = 64 makes 679-trial chunks at the L = 16 width: 2000 trials are
+        # two full chunks and a partial one, and every table of the sweep
+        # reads a column prefix of the L = 16 draw
         cfg = make_cfg(M=64, trials=2000)
         L_values = (1, 2, 4, 8, 16)
+        assert chunk_count(cfg, L_values) == 3
         sweep = monte_carlo.build_trial_tables(cfg, L_values, workers=workers)
         assert [t.cfg for t in sweep] == [replace(cfg, L=L) for L in L_values]
         for table in sweep:
             alone = build_trial_table(table.cfg)
             for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
                 assert np.array_equal(getattr(table, name), getattr(alone, name))
+
+    @pytest.mark.parametrize("L_values,M,trials", [((1, 8, 16), 10, 20_000), ((8,), 64, 2000)])
+    def test_tables_do_not_depend_on_the_chunk_rule(self, monkeypatch, L_values, M, trials):
+        # the outage sweep is two chunks under the Gram-only rule and three
+        # under the byte bound; at (L = 8, M = 64) both rules make three
+        # chunks, split at other trials
+        cfg = make_cfg(M=M, trials=trials)
+        width = 2 * max(L_values) * (M + 1)
+        new = build_trial_tables(cfg, L_values)
+
+        def gram_only(M, width):
+            return max(1, min(16384, 4_000_000 // max(M * M, 1)))
+
+        assert gram_only(M, width) != monte_carlo._chunk_size(M, width)
+        monkeypatch.setattr(monte_carlo, "_chunk_size", gram_only)
+        old = build_trial_tables(cfg, L_values)
+        for a, b in zip(new, old):
+            for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("M", [0, 1, 10, 64, 300, 1000, 2047, 2048, 4096])
+    def test_chunk_is_the_most_trials_within_64_mb(self, M):
+        # a trial's draw (uniforms and normals) and Gram block, 16 bytes per
+        # column and per entry; past the bound a chunk is one trial
+        bound = 64 * 2**20
+        for L in (1, 2, 8, 16, 64, 256):
+            width = 2 * L * (M + 1)
+            step = monte_carlo._chunk_size(M, width)
+            trial = 16 * width + 16 * M * M
+            assert step == 1 or step * trial <= bound
+            assert step == 16384 or (step + 1) * trial > bound
 
     def test_seed_changes_estimates(self):
         r = 0.62

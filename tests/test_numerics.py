@@ -209,6 +209,16 @@ class TestKeyedUniforms:
             want = RngStream(99, 10 + i).generator().random(12)
             assert np.array_equal(block[i], want)
 
+    @pytest.mark.parametrize("n_per", [1, 3, 5, 22, 352, 1040])
+    def test_rows_match_fresh_generators_at_any_width(self, n_per):
+        # Philox yields 4 words per counter step: a width that is not a
+        # multiple of 4 leaves words buffered that the next row must not see
+        block = keyed_uniforms(7, 1000, 9, n_per)
+        assert block.shape == (9, n_per)
+        for i in range(9):
+            want = RngStream(7, 1000 + i).generator().random(n_per)
+            assert np.array_equal(block[i], want)
+
     def test_empty_shapes(self):
         assert keyed_uniforms(1, 0, 0, 5).shape == (0, 5)
         assert keyed_uniforms(1, 0, 3, 0).shape == (3, 0)
