@@ -33,7 +33,6 @@ from .channel import SystemConfig, db_to_linear
 from .embb_analysis import operating_point
 from .monte_carlo import build_trial_tables, wilson_half_width
 from .slicing_search import (
-    PASSES_ALIVE,
     max_devices,
     max_mmtc_rate_orth,
     nonorthogonal_region,
@@ -94,6 +93,13 @@ class ExperimentSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"config field {name!r} must be finite, got {value}")
+        for name in ("r_M", "r_B"):
+            value = getattr(self, name)
+            if value is not None and value >= 1024:
+                raise ConfigError(
+                    f"config field {name!r} must be below 1024, where 2^{name} - 1 "
+                    f"overflows a double, got {value}"
+                )
         if self.command == "max-devices" and self.r_M is not None and self.r_M <= 0:
             raise ConfigError(f"config field 'r_M' must be positive, got {self.r_M}")
 
@@ -338,9 +344,7 @@ def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
     """Achievable rate pairs over the requested grids, one CSV row per point."""
     rows = []
     nonorth = spec.mode in ("nonorth", "both")
-    tables = build_trial_tables(
-        spec.scenario, spec.L_values, workers=workers, passes=PASSES_ALIVE if nonorth else 1
-    )
+    tables = build_trial_tables(spec.scenario, spec.L_values, workers=workers)
     for table in tables:
         cfg = table.cfg
         L = cfg.L

@@ -28,13 +28,17 @@ truncated-inversion analysis needs. The per-realization decoders in
 `sic_decoder` are the reference; the test suite checks exact,
 count-level agreement between the two routes.
 
-A non-orthogonal count is split in two. `TrialTable.nonorth_pass(r_B,
-gamma_tar)` decodes once per broadband operating point and keeps per-trial
-thresholds: the running minimum of the device SINRs with the broadband
-signal pending, and whether the broadband attempt succeeds after each
-number of decoded devices. Its `NonorthPass.counts(r_M)` is then one
-comparison pass per MTC rate, so a search that probes many MTC rates at
-one target SNR decodes it once.
+A non-orthogonal count compares per-trial target-SNR thresholds. Each
+SINR of the interleaved procedure is monotone in the broadband target SNR
+gamma, so each decode step is a threshold on gamma:
+`TrialTable.mmtc_thresholds(r_M)` holds, per trial and SIC position, the
+largest gamma at which the devices up to it decode with the broadband
+signal pending, and `TrialTable.embb_thresholds(r_B)` the least gamma at
+which the broadband attempt succeeds after each number of decoded devices.
+The first depends only on the MTC rate and the second only on the
+broadband rate, so a search builds each once per rate and
+`TrialTable.threshold_counts` answers each probed gamma with one
+comparison pass.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -51,8 +55,7 @@ from .channel import SystemConfig
 from .numerics import _normals_from_uniforms, keyed_uniforms
 
 __all__ = [
-    "wilson_half_width", "TrialTable", "NonorthPass", "build_trial_table",
-    "build_trial_tables",
+    "wilson_half_width", "TrialTable", "build_trial_table", "build_trial_tables",
 ]
 
 _Z95 = 1.959963984540054
@@ -112,14 +115,51 @@ class TrialTable:
         stop-on-failure decoding."""
         return self.cfg.M * self.cfg.trials - int(self.orth_decoded(r_M).sum())
 
-    def nonorth_pass(self, r_B: float, gamma_tar: float) -> "NonorthPass":
-        """The interleaved procedure decoded at (r_B, gamma_tar) for every
-        MTC rate at once.
+    def mmtc_thresholds(self, r_M: float) -> np.ndarray:
+        """(T, M): per trial and SIC position j, the largest target SNR at
+        which devices 0..j all decode with the broadband signal pending at
+        MTC rate r_M. At target SNR gamma the devices decoded before the
+        broadband attempt are the entries at or above gamma.
+
+        Device j's SINR with the broadband signal pending, P_M c^2 /
+        (gamma b / d + interf + c), reaches thr_M = 2^r_M - 1 iff gamma <=
+        u_j = d (P_M c^2 / thr_M - interf - c) / b; the result is the running
+        minimum of u along the SIC order. Every device decodes at thr_M = 0,
+        and one the broadband signal does not reach (b = 0) decodes at every
+        target SNR or at none: u is +inf or -inf there.
+        """
+        cfg = self.cfg
+        if cfg.M < 1:
+            raise ValueError("joint outage needs at least one MTC device (M >= 1)")
+        if r_M < 0:
+            raise ValueError("rates must be nonnegative")
+        thr_M = 2.0**r_M - 1.0
+        if thr_M == 0.0:
+            return np.full((cfg.trials, cfg.M), np.inf, order="F")
+        U = np.multiply(cfg.P_M, self.c, order="F")
+        U *= self.c
+        U /= thr_M
+        U -= self.interf
+        U -= self.c
+        U *= self.d[:, None]
+        np.divide(U, self.b, out=U, where=self.b > 0)
+        unreached = self.b == 0
+        U[unreached] = np.where(U[unreached] >= 0.0, np.inf, -np.inf)
+        for m in range(1, cfg.M):
+            np.minimum(U[:, m - 1], U[:, m], out=U[:, m])
+        return U
+
+    def embb_thresholds(self, r_B: float) -> np.ndarray:
+        """(T, M + 1): per trial, the least target SNR at which the broadband
+        attempt at broadband rate r_B succeeds when made after k decoded
+        devices, k = 0..M.
 
         The broadband device is conservatively always active: per trial it
-        transmits at gamma_tar / ||g_B||^2 with no truncation, so its error
-        is purely a decoding error. Requires gamma_tar > 2^r_B - 1, otherwise
-        even the interference-free attempt could never succeed.
+        transmits at gamma / ||g_B||^2 with no truncation, so its error is
+        purely a decoding error. An attempt at position k < M faces devices
+        k.. (b_suffix) with SINR gamma d / (b_suffix_k + d), which reaches
+        thr_B = 2^r_B - 1 iff gamma >= thr_B (b_suffix_k + d) / d; at k == M
+        it comes last, interference-free, and succeeds iff gamma >= thr_B.
         """
         cfg = self.cfg
         if cfg.M < 1:
@@ -127,78 +167,43 @@ class TrialTable:
         if r_B < 0:
             raise ValueError("rates must be nonnegative")
         thr_B = 2.0**r_B - 1.0
-        if not gamma_tar > thr_B:
-            raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
-        M = cfg.M
-        P_B = gamma_tar / self.d
-        # device SINRs with the broadband signal pending, P_M c^2 / (interf +
-        # P_B b + c), then their running minimum along the SIC order
-        den = P_B[:, None] * self.b
-        den += self.interf
-        den += self.c
-        runmin = np.multiply(cfg.P_M, self.c, order="F")
-        runmin *= self.c
-        runmin /= den
-        for m in range(1, M):
-            np.minimum(runmin[:, m - 1], runmin[:, m], out=runmin[:, m])
-        # the broadband attempt at position k < M faces devices k.. (b_suffix);
-        # at k == M it comes last, interference-free, with SNR P_B * d
-        embb_ok_at = np.empty((cfg.trials, M + 1), dtype=bool, order="F")
-        sinr = np.add(self.b_suffix, self.d[:, None], out=den)
-        np.divide((P_B * self.d * self.d)[:, None], sinr, out=sinr)
-        np.greater_equal(sinr, thr_B, out=embb_ok_at[:, :M])
-        np.greater_equal(P_B * self.d, thr_B, out=embb_ok_at[:, M])
-        return NonorthPass(self, runmin, embb_ok_at)
+        V = np.empty((cfg.trials, cfg.M + 1), order="F")
+        np.add(self.b_suffix, self.d[:, None], out=V[:, : cfg.M])
+        V[:, : cfg.M] *= thr_B
+        V[:, : cfg.M] /= self.d[:, None]
+        V[:, cfg.M] = thr_B
+        return V
 
-    def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float):
+    def threshold_counts(self, U, V, orth_decoded, gamma_tar: float):
         """(mMTC device-slot failures out of M * trials, broadband decode
-        failures out of trials) under the interleaved procedure: the counts
-        of `nonorth_pass(r_B, gamma_tar)` at r_M."""
-        return self.nonorth_pass(r_B, gamma_tar).counts(r_M)
-
-
-class NonorthPass:
-    """One decode of the interleaved procedure at (r_B, gamma_tar) on a
-    trial table, answering every MTC rate with one comparison pass.
-
-    With the broadband signal pending, device m decodes iff its SINR and
-    those of every device before it reach 2^r_M - 1; the rate enters only
-    through that threshold. So the pass keeps, in SIC order,
-      runmin     (T, M)    running minimum of the device SINRs with the
-                           broadband signal pending
-      embb_ok_at (T, M+1)  whether the broadband attempt succeeds when made
-                           after k devices, k = 0..M
-    and `counts(r_M)` reads k, the devices decoded before the attempt, as
-    the number of runmin entries that reach the threshold.
-    """
-
-    def __init__(self, table: TrialTable, runmin, embb_ok_at):
-        self.table = table
-        self.runmin = runmin
-        self.embb_ok_at = embb_ok_at
-
-    def counts(self, r_M: float, orth_decoded: Optional[np.ndarray] = None):
-        """(mMTC device-slot failures out of M * trials, broadband decode
-        failures out of trials) at MTC rate r_M. `orth_decoded` is the
-        table's `orth_decoded(r_M)`, computed here when not given."""
-        if r_M < 0:
-            raise ValueError("rates must be nonnegative")
-        T, M = self.table.cfg.trials, self.table.cfg.M
-        if orth_decoded is None:
-            orth_decoded = self.table.orth_decoded(r_M)
-        # every SINR denominator is positive, so no entry is NaN and the
-        # count of entries at or above the threshold is the first failure
-        k = (self.runmin >= 2.0**r_M - 1.0).sum(axis=1, dtype=np.int32)
-        # embb_ok_at[t, k[t]] through the column-major flat index, which
-        # numpy gathers faster than a two-array index
-        embb_ok = self.embb_ok_at.ravel(order="F")[k * np.intp(T) + np.arange(T)]
+        failures out of trials) at target SNR gamma_tar, from U =
+        `mmtc_thresholds(r_M)`, V = `embb_thresholds(r_B)` and orth_decoded =
+        `orth_decoded(r_M)`: one comparison pass per target SNR."""
+        T, M = self.cfg.trials, self.cfg.M
+        # U is nonincreasing along each trial, so the count of entries at or
+        # above gamma_tar is k, the devices decoded before the broadband attempt
+        k = (U >= gamma_tar).sum(axis=1, dtype=np.int32)
+        # V[t, k[t]] through the column-major flat index, which numpy gathers
+        # faster than a two-array index
+        embb_ok = V.ravel(order="F")[k * np.intp(T) + np.arange(T)] <= gamma_tar
         # a rescued trial goes on from device k to the first failure of the
         # no-broadband chain; dropping P_B * b >= 0 from a denominator cannot
         # lower an SINR, so that failure is at or after k: the orthogonal count
         n_dec = np.where(embb_ok, orth_decoded, k)
-        mm_err = M * T - int(n_dec.sum())
-        eb_err = T - int(embb_ok.sum())
-        return mm_err, eb_err
+        return M * T - int(n_dec.sum()), T - int(embb_ok.sum())
+
+    def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float):
+        """(mMTC device-slot failures out of M * trials, broadband decode
+        failures out of trials) under the interleaved procedure at (r_M, r_B,
+        gamma_tar). Requires gamma_tar > 2^r_B - 1, otherwise even the
+        interference-free broadband attempt could never succeed."""
+        thr_B = 2.0**r_B - 1.0
+        if not gamma_tar > thr_B:
+            raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
+        return self.threshold_counts(
+            self.mmtc_thresholds(r_M), self.embb_thresholds(r_B), self.orth_decoded(r_M),
+            gamma_tar,
+        )
 
 
 def _chunk_size(M: int, width: int) -> int:
@@ -242,7 +247,7 @@ def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
 
 
 def build_trial_tables(
-    cfg: SystemConfig, L_values: Sequence[int], workers: int = 1, *, passes: int = 1
+    cfg: SystemConfig, L_values: Sequence[int], workers: int = 1
 ) -> List[TrialTable]:
     """Trial tables of cfg at each antenna count in L_values, in that order.
 
@@ -255,9 +260,9 @@ def build_trial_tables(
     Every table of the sweep is alive at once. Raises MemoryError, before
     allocating, when the tables, plus the draws of the chunks in flight,
     plus the larger of one chunk's Gram block and the count temporaries,
-    exceed the machine's physical memory. The count temporaries are those
-    of `passes` `NonorthPass`es alive at once: the most the caller's
-    searches hold on one table.
+    exceed the machine's physical memory. The count temporaries are what a
+    search holds on one table: its target-SNR thresholds U and V and one
+    comparison of U against a target SNR.
     """
     T, M = cfg.trials, cfg.M
     width = 2 * max(L_values) * (M + 1)
@@ -266,16 +271,15 @@ def build_trial_tables(
     table_bytes = T * (5 * M + 1) * 8  # five (T, M) arrays and d, float64
     draw_bytes = min(step, T) * width * 16  # a chunk's uniforms and normals
     gram_bytes = min(step, T) * M * M * 16
-    # a pass being decoded and counted peaks at about two (T, M) float64
-    # arrays; each other pass kept holds a (T, M) float64 and a (T, M + 1) bool
-    eval_bytes = 2 * T * M * 8 + (passes - 1) * (8 * T * M + T * (M + 1))
+    # U, (T, M) float64, V, (T, M + 1) float64, and a (T, M) bool comparison
+    eval_bytes = T * M * 8 + T * (M + 1) * 8 + T * M
     need = len(L_values) * table_bytes + in_flight * draw_bytes + max(gram_bytes, eval_bytes)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
         raise MemoryError(
             f"{len(L_values)} trial table(s) of {table_bytes} bytes, {in_flight} chunk "
             f"draw(s) of {draw_bytes} bytes, and a chunk Gram of {gram_bytes} bytes "
-            f"or the count temporaries of {passes} decode pass(es), {eval_bytes} "
+            f"or the count temporaries of the target-SNR thresholds, {eval_bytes} "
             f"bytes, exceed the {physical} bytes of physical memory"
         )
 

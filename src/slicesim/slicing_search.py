@@ -33,15 +33,12 @@ feasible value. The count that accepts a target SNR also gives the MTC
 error count checked against eps_M, and the search returns that count
 with the rate.
 
-A target SNR is decoded once per path (`TrialTable.nonorth_pass`) and
-counted once per MTC rate. Within one r_B point every rate probe walks the
-same target-SNR bisection tree from the same bracket, and consecutive
-probes share a prefix of their walks. The rate search keeps the passes of
-one path down that tree, at most PASSES_ALIVE of them: a probe counts the
-passes on the path while its walk follows it, and where the walk leaves
-the path, the passes further down are dropped and the walk's own decodes
-take their place. The device-count search decodes each target SNR it
-probes and drops the pass after counting it.
+A count compares per-trial target-SNR thresholds (`monte_carlo`): the
+broadband ones depend only on r_B and the MTC ones only on the MTC rate.
+The rate search builds the broadband thresholds once per r_B point and
+the MTC thresholds once per rate probe, and counts each probed target SNR
+with one comparison pass against them; the device-count search does the
+same on each table it probes.
 
 The searches return plain values, as tuples of rates, target SNRs and
 error counts, which the caller formats.
@@ -53,7 +50,6 @@ built once and only one table is alive at a time.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
@@ -62,7 +58,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .embb_analysis import EmbbOperatingPoint, operating_point
-from .monte_carlo import NonorthPass, TrialTable, build_trial_table
+from .monte_carlo import TrialTable, build_trial_table
 
 __all__ = [
     "max_mmtc_rate_orth",
@@ -71,7 +67,6 @@ __all__ = [
     "max_mmtc_rate_nonorth",
     "nonorthogonal_region",
     "max_devices",
-    "PASSES_ALIVE",
 ]
 
 RATE_TOL = 0.01  # bits/s/Hz, below the plot resolution of the target figures
@@ -79,12 +74,6 @@ GAMMA_REL_TOL = 0.01
 GAMMA_LO_FRACTION = 1e-9  # the bracket's lower end, as a fraction of the way to the cap
 RATE_CAP = 64.0  # bits/s/Hz, the largest MTC rate `max_mmtc_rate_orth` returns
 M_CAP = 4096  # largest device count `max_devices` probes
-# Decode passes a rate search holds at once: one target-SNR path, that is
-# the two bracket ends and the bisection steps that take the widest bracket,
-# hi / lo = 1 / GAMMA_LO_FRACTION, down to GAMMA_REL_TOL
-PASSES_ALIVE = 2 + math.ceil(
-    math.log2(math.log(1.0 / GAMMA_LO_FRACTION) / math.log1p(GAMMA_REL_TOL))
-)
 
 Counts = Tuple[int, int]  # `TrialTable.nonorth_error_counts`: (MTC, broadband)
 
@@ -173,40 +162,22 @@ def min_feasible_gamma_tar(
         return None
     if table is None:
         table = build_trial_table(cfg)
-    found = _gamma_search(table, bracket, r_B, r_M)
+    found = _gamma_search(table, bracket, table.embb_thresholds(r_B), r_M)
     return None if found is None else found[0]
 
 
 def _gamma_search(
-    table: TrialTable,
-    bracket: Tuple[float, float],
-    r_B: float,
-    r_M: float,
-    path: Optional[List[Tuple[float, NonorthPass]]] = None,
+    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, r_M: float
 ) -> Optional[Tuple[float, Counts]]:
     """The search of `min_feasible_gamma_tar` on a nonempty admissible
-    interval: (target SNR, the `nonorth_error_counts` at it), or None.
-
-    Without `path` each probed target SNR is decoded and dropped. A `path`
-    holds the (target SNR, pass) pairs walked by earlier searches of the
-    same table, r_B and bracket. They all walk one bisection tree from the
-    bracket, and a pass does not depend on r_M, so this search counts the
-    passes of `path` while it follows it, drops the rest of `path` where it
-    leaves it, and leaves its own walk in `path`.
-    """
+    interval, with V the table's `embb_thresholds` at its r_B: (target SNR,
+    the `nonorth_error_counts` at it), or None. The MTC thresholds are built
+    once and every probed target SNR is counted against them."""
     cfg = table.cfg
-    orth_decoded = table.orth_decoded(r_M)
-    walked = 0
+    U, orth_decoded = table.mmtc_thresholds(r_M), table.orth_decoded(r_M)
 
     def counts(g: float) -> Counts:
-        nonlocal walked
-        if path is None:
-            return table.nonorth_pass(r_B, g).counts(r_M, orth_decoded)
-        if walked == len(path) or path[walked][0] != g:
-            del path[walked:]  # off the path: its passes further on are never reached
-            path.append((g, table.nonorth_pass(r_B, g)))
-        walked += 1
-        return path[walked - 1][1].counts(r_M, orth_decoded)
+        return table.threshold_counts(U, V, orth_decoded, g)
 
     def embb_ok(errors: Counts) -> bool:
         return errors[1] / cfg.trials <= cfg.eps_B
@@ -229,18 +200,14 @@ def _gamma_search(
 
 
 def _accepted(
-    table: TrialTable,
-    bracket: Tuple[float, float],
-    r_B: float,
-    r_M: float,
-    path: Optional[List[Tuple[float, NonorthPass]]] = None,
+    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, r_M: float
 ) -> Optional[Tuple[float, Counts]]:
-    """(target SNR, its counts) accepted at (r_B, r_M) on the table: the
-    target SNR that the search over the nonempty admissible interval
-    `bracket` finds within eps_B, when the MTC outage of the same count pass
-    meets eps_M; None when the rate pair is infeasible. `path` is that of
-    `_gamma_search`."""
-    found = _gamma_search(table, bracket, r_B, r_M, path)
+    """(target SNR, its counts) accepted at r_M on the table: the target SNR
+    that `_gamma_search` finds within eps_B on the nonempty admissible
+    interval `bracket`, with V the broadband thresholds at its r_B, when the
+    MTC outage of the same count meets eps_M; None when the rate pair is
+    infeasible."""
+    found = _gamma_search(table, bracket, V, r_M)
     if found is None:
         return None
     cfg = table.cfg
@@ -252,7 +219,7 @@ def max_mmtc_rate_nonorth(
 ) -> Tuple[float, float, Optional[Counts]]:
     """Largest MTC rate feasible under non-orthogonal slicing at broadband
     rate r_B: (rate, accepted broadband target SNR, the
-    `nonorth_error_counts` of the pass that accepted the pair).
+    `nonorth_error_counts` of the count that accepted the pair).
 
     A rate is feasible when the target-SNR search finds a target SNR
     keeping the broadband error within eps_B and, at that SNR, the MTC
@@ -270,16 +237,14 @@ def max_mmtc_rate_nonorth(
     bracket = _gamma_bracket(op, r_B)
     if bracket is None:
         return 0.0, op.gamma_tar, None
-    # the passes of one path down this bracket's target-SNR tree, which
-    # every rate probe walks (`_gamma_search`)
-    path = []
+    V = table.embb_thresholds(r_B)
     # rate 0 is always feasible: every device decodes with the broadband
     # signal pending, which is then decoded interference-free
-    lo, best = 0.0, _accepted(table, bracket, r_B, 0.0, path)
+    lo, best = 0.0, _accepted(table, bracket, V, 0.0)
     hi = r_M_out + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        found = _accepted(table, bracket, r_B, mid, path)
+        found = _accepted(table, bracket, V, mid)
         if found is None:
             hi = mid
         else:
@@ -366,7 +331,7 @@ def max_devices(
             if gammas is None:
                 ok = table.mmtc_orth_error_count(r_M_i) / (m * cfg.trials) <= cfg.eps_M
             else:
-                ok = _accepted(table, gammas, r_B, r_M_i) is not None
+                ok = _accepted(table, gammas, table.embb_thresholds(r_B), r_M_i) is not None
             brackets[i][0 if ok else 1] = m
         del table  # before the next build: one table alive at a time
     result = [0] * len(points)

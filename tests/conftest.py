@@ -1,11 +1,9 @@
 """Shared test configuration: slow-test marker, the acceptance summary, and a
-recorder of the non-orthogonal decode seam."""
-
-import weakref
+recorder of the non-orthogonal count seam."""
 
 import pytest
 
-from slicesim.monte_carlo import NonorthPass, TrialTable
+from slicesim.monte_carlo import TrialTable
 
 ACCEPTANCE_RESULTS = []  # (criterion number, label, passed, detail)
 
@@ -33,54 +31,41 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def decodes(monkeypatch):
-    """Every decode and count on the `NonorthPass` seam, in call order:
-    ("pass", L, r_B, gamma_tar, passes alive with it) per decode and
-    ("count", L, r_M, r_B, gamma_tar) per count."""
+def count_events(monkeypatch):
+    """Every threshold build and count on the non-orthogonal count seam, in
+    call order: ("V", L, r_B) per `TrialTable.embb_thresholds`, ("U", L,
+    r_M) per `TrialTable.mmtc_thresholds` and ("count", L, r_M, r_B,
+    gamma_tar) per `TrialTable.threshold_counts`."""
     events = []
-    decoded_at = weakref.WeakKeyDictionary()  # live pass -> (r_B, gamma_tar)
-    decode, count = TrialTable.nonorth_pass, NonorthPass.counts
+    rate_of = {}  # id of a threshold array -> (the array, kept alive; its rate)
 
-    def decoding(self, r_B, gamma_tar):
-        found = decode(self, r_B, gamma_tar)
-        decoded_at[found] = (r_B, gamma_tar)
-        events.append(("pass", self.cfg.L, r_B, gamma_tar, len(decoded_at)))
-        return found
+    def recording(kind, build):
+        def wrapped(self, rate):
+            found = build(self, rate)
+            rate_of[id(found)] = (found, rate)
+            events.append((kind, self.cfg.L, rate))
+            return found
+        return wrapped
 
-    def counting(self, r_M, *args):
-        events.append(("count", self.table.cfg.L, r_M, *decoded_at[self]))
-        return count(self, r_M, *args)
+    def counting(self, U, V, orth_decoded, gamma_tar, _count=TrialTable.threshold_counts):
+        events.append(("count", self.cfg.L, rate_of[id(U)][1], rate_of[id(V)][1], gamma_tar))
+        return _count(self, U, V, orth_decoded, gamma_tar)
 
-    monkeypatch.setattr(TrialTable, "nonorth_pass", decoding)
-    monkeypatch.setattr(NonorthPass, "counts", counting)
+    monkeypatch.setattr(TrialTable, "embb_thresholds",
+                        recording("V", TrialTable.embb_thresholds))
+    monkeypatch.setattr(TrialTable, "mmtc_thresholds",
+                        recording("U", TrialTable.mmtc_thresholds))
+    monkeypatch.setattr(TrialTable, "threshold_counts", counting)
     return events
 
 
-def rate_probes(events):
-    """The rate probes of `decodes` events, in order: one ((L, r_B), target
-    SNRs counted in order, target SNRs decoded) per run of counts at one
-    (L, r_M, r_B). A decode belongs to the probe that counts next."""
-    probes, pending, key = [], [], None
-    for event in events:
-        if event[0] == "pass":
-            pending.append(event[3])
-            continue
-        if event[1:4] != key:
-            key = event[1:4]
-            probes.append(((key[0], key[2]), [], []))
-        probes[-1][1].append(event[4])
-        probes[-1][2].extend(pending)
-        pending = []
-    return probes
-
-
-def assert_walks_share_passes(events, bound):
-    """Each rate probe of `decodes` events decodes a target SNR at most once
-    and never one that the previous probe at its (L, r_B) counted, and no
-    more than `bound` passes are alive at once."""
-    previous = {}
-    for point, walk, decoded in rate_probes(events):
-        assert len(decoded) == len(set(decoded)) and set(decoded) <= set(walk)
-        assert not set(decoded) & set(previous.get(point, ())), point
-        previous[point] = walk
-    assert max(event[4] for event in events if event[0] == "pass") <= bound
+def assert_thresholds_built_once(events):
+    """`count_events` of rate searches count no (L, r_M, r_B, gamma_tar)
+    twice, build the broadband thresholds once per (L, r_B) and the MTC
+    thresholds once per rate probe: per run of counts at one (L, r_M, r_B)."""
+    counts = [event[1:] for event in events if event[0] == "count"]
+    assert len(counts) == len(set(counts))
+    runs = [c[:3] for i, c in enumerate(counts) if i == 0 or c[:3] != counts[i - 1][:3]]
+    assert [event[1:] for event in events if event[0] == "U"] == [run[:2] for run in runs]
+    points = list(dict.fromkeys((c[0], c[2]) for c in counts))
+    assert [event[1:] for event in events if event[0] == "V"] == points

@@ -6,7 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
-from conftest import assert_walks_share_passes
+from conftest import assert_thresholds_built_once
 
 import slicesim.cli
 import slicesim.monte_carlo
@@ -20,7 +20,6 @@ from slicesim.cli import (
     run_outage,
     run_region,
 )
-from slicesim.slicing_search import PASSES_ALIVE
 
 GOOD_CONFIG = """
 # minimal scenario
@@ -169,6 +168,15 @@ class TestParseSpec:
         # the other commands check their rates where they use them
         assert parse_spec("region", GOOD_CONFIG + f"r_M = {r_M}\n").r_M == float(r_M)
 
+    @pytest.mark.parametrize("field", ["r_M", "r_B"])
+    def test_rates_lie_below_1024(self, field):
+        # 2^r - 1 is a finite double below r = 1024 and overflows at it
+        below = math.nextafter(1024.0, 0.0)
+        assert getattr(parse_spec("outage", GOOD_CONFIG + f"{field} = {below!r}\n"),
+                       field) == below
+        with pytest.raises(ConfigError, match=f"{field}.*1024"):
+            parse_spec("outage", GOOD_CONFIG + f"{field} = 1024\n")
+
 
 class TestEmbbAnalytic:
     def test_single_row_csv(self):
@@ -241,12 +249,13 @@ class TestRunRegion:
         modes = {row["mode"] for row in rows_of(run_region(spec))}
         assert modes == {"orth", "nonorth"}
 
-    def test_one_endpoint_per_table_and_no_recount(self, tmp_path, monkeypatch, decodes):
+    def test_one_endpoint_per_table_and_no_recount(self, tmp_path, monkeypatch,
+                                                   count_events):
         # the orthogonal endpoint is read once per table and is the ceiling
         # of the non-orthogonal search; the rows print the counts the search
-        # accepted, so no operating point of a table is counted twice; a
-        # rate probe decodes each target SNR once, none that the previous
-        # probe's walk decoded, and one walk of passes is alive at most
+        # accepted, so no operating point of a table is counted twice; the
+        # broadband thresholds are built once per r_B point and the MTC ones
+        # once per rate probe
         endpoints = []
         endpoint = slicesim.slicing_search.max_mmtc_rate_orth
 
@@ -265,10 +274,10 @@ class TestRunRegion:
         assert main(["region", "--config", str(cfg), "--trials", "400", "--out", str(out)]) == 0
         assert len(rows_of(out.read_text())) == 2 * (3 + 11)
         assert len(endpoints) == 2  # one per antenna count
-        seen = [event[1:] for event in decodes if event[0] == "count"]
-        assert len(seen) > 2 * 11 and len(seen) == len(set(seen))
-        assert len([event for event in decodes if event[0] == "pass"]) < len(seen)
-        assert_walks_share_passes(decodes, PASSES_ALIVE)
+        assert len([event for event in count_events if event[0] == "count"]) > 2 * 11
+        assert_thresholds_built_once(count_events)
+        # every r_B point but the last, whose target-SNR interval is empty
+        assert len([event for event in count_events if event[0] == "V"]) == 2 * 10
 
     def test_small_sweep_bytes_are_pinned(self, tmp_path):
         # both modes of a fig3 sweep at L = 1, 8 on 2000 trials of seed 1
@@ -526,6 +535,24 @@ class TestMainExitCodes:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err and "finite" in err
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "command, rates, field",
+        [
+            ("outage", "r_M = 2000\nr_B = 1.0", "r_M"),
+            ("max-devices", "r_M = 2000", "r_M"),
+            ("outage", "r_M = 0.5\nr_B = 2000", "r_B"),
+        ],
+        ids=["outage-r_M", "max-devices-r_M", "outage-r_B"],
+    )
+    def test_rate_of_1024_or_more_is_2_before_any_build(self, tmp_path, capsys, builds,
+                                                        command, rates, field):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(GOOD_CONFIG + rates + "\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and "1024" in err
         assert builds == []
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

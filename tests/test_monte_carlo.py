@@ -21,7 +21,6 @@ from slicesim.monte_carlo import (
 )
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 from slicesim.slicing_search import (
-    PASSES_ALIVE,
     _gamma_bracket,
     max_mmtc_rate_nonorth,
     max_mmtc_rate_orth,
@@ -118,9 +117,9 @@ class TestRouteEquivalence:
 
 
 def replay_counts(table, r_M, r_B, gamma_tar):
-    """Reference for `NonorthPass.counts`: the decode replayed at one rate
-    pair, the first device failure along the SIC order found by argmin and
-    the broadband attempt gathered at that position."""
+    """Reference for `TrialTable.threshold_counts`: the decode replayed at
+    one operating point, the first device failure along the SIC order found
+    by argmin and the broadband attempt's SINR gathered at that position."""
     cfg = table.cfg
     T, M = cfg.trials, cfg.M
     thr_M = 2.0**r_M - 1.0
@@ -141,12 +140,16 @@ def replay_counts(table, r_M, r_B, gamma_tar):
 
 
 class TestNonorthPass:
+    """The non-orthogonal count pass: a comparison of per-trial target-SNR
+    thresholds, checked against the replayed decode."""
+
     @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 300)])
     def test_one_pass_answers_every_rate_as_the_replay(self, L, M):
         # the shapes of TestRouteEquivalence: M = 300 spans two chunks. At
-        # each r_B one pass per target SNR, the bracket's two ends and its
-        # geometric middle, answers r_M = 0 (k == M), the r_M the search
-        # accepts there, random rates and r_M = 20 (k == 0)
+        # each r_B one set of broadband thresholds and, per rate, one set of
+        # MTC thresholds answer the bracket's two ends and its geometric
+        # middle at r_M = 0 (k == M), the r_M the search accepts there,
+        # random rates and r_M = 20 (k == 0)
         cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 60)
         assert M < 100 or chunk_count(cfg, (L,)) == 2
         table = build_trial_table(cfg)
@@ -157,12 +160,13 @@ class TestNonorthPass:
             lo, hi = _gamma_bracket(op, r_B)
             accepted = max_mmtc_rate_nonorth(table, r_B, r_M_out)[0]
             rates = [0.0, accepted, 20.0, *rng.uniform(0.0, 2.5, 4)]
-            for gamma in (lo, float(np.sqrt(lo * hi)), hi):
-                found = table.nonorth_pass(r_B, gamma)
-                for r_M in rates:
+            V = table.embb_thresholds(r_B)
+            for r_M in rates:
+                U, orth_decoded = table.mmtc_thresholds(r_M), table.orth_decoded(r_M)
+                for gamma in (lo, float(np.sqrt(lo * hi)), hi):
                     want = replay_counts(table, r_M, r_B, gamma)
-                    assert found.counts(r_M) == want, (r_B, gamma, r_M)
-                    assert found.counts(r_M, table.orth_decoded(r_M)) == want
+                    found = table.threshold_counts(U, V, orth_decoded, gamma)
+                    assert found == want, (r_B, gamma, r_M)
                     assert table.nonorth_error_counts(r_M, r_B, gamma) == want
 
 
@@ -216,11 +220,41 @@ class TestBoundaryInclusive:
     def test_threshold_sinr_decodes(self, table):
         assert table.orth_decoded(1.0).tolist() == [1, 1, 1]
         assert table.mmtc_orth_error_count(1.0) == 0
-        assert table.nonorth_pass(1.0, 3.0).counts(1.0) == (0, 0)
+        assert table.nonorth_error_counts(1.0, 1.0, 3.0) == (0, 0)
         for G, g_B in zip(self.G_M, self.g_B):
             assert decode_orthogonal(G, 1.0, 1.0).mtc_decoded.all()
             out = decode_non_orthogonal(G, g_B, 1.0, 3.0 / float(g_B @ g_B), 1.0, 1.0)
             assert out.mtc_decoded.all() and out.embb_decoded
+
+    def test_device_the_broadband_signal_does_not_reach(self):
+        # an M = 2 trial with g_B = (1, 0): device 0, g = (0, 1), is
+        # orthogonal to g_B (b = 0) and to device 1, and decodes at SINR 1
+        # with or without the broadband signal; device 1, g = (0.5, 0), has
+        # b = 0.25 and SINR 0.25 / (1.125 + 1) < 1 at target SNR 1.125. The
+        # broadband attempt after device 0 then sees 1.125 / (0.25 + 1) < 1,
+        # so device 0 decodes and nothing else does. The threshold of device
+        # 0 is 0 / 0 as algebra, and +inf as a rule: it decodes at every
+        # target SNR
+        G = np.array([[0.0, 0.5], [1.0, 0.0]])
+        g_B = np.array([1.0, 0.0])
+        cfg = make_cfg(L=2, M=2, P_M=1.0, trials=1)
+
+        def row(*values):
+            return np.array([values], dtype=float)
+
+        table = TrialTable(cfg, c=row(1.0, 0.25), interf=row(0.0, 0.0), b=row(0.0, 0.25),
+                           b_suffix=row(0.25, 0.25), d=np.array([1.0]),
+                           prefix_min=row(1.0, 0.25))
+        for m in range(2):
+            assert (table.c[0, m], table.b[0, m]) == (G[:, m] @ G[:, m], (G[:, m] @ g_B) ** 2)
+        assert (table.interf[0, 0], table.d[0]) == ((G[:, 0] @ G[:, 1]) ** 2, g_B @ g_B)
+        with np.errstate(all="raise"):
+            U = table.mmtc_thresholds(1.0)
+            assert U[0, 0] == np.inf and U[0, 1] < 1.125 < table.embb_thresholds(1.0)[0, 1]
+            assert table.mmtc_thresholds(0.0).tolist() == [[np.inf, np.inf]]
+            assert table.nonorth_error_counts(1.0, 1.0, 1.125) == (1, 1)
+        out = decode_non_orthogonal(G, g_B, 1.0, 1.125, 1.0, 1.0)
+        assert out.mtc_decoded.tolist() == [True, False] and not out.embb_decoded
 
 
 class TestColumnMajorLayout:
@@ -281,12 +315,13 @@ class TestDeterminism:
     def test_memory_check_counts_the_count_pass(self, monkeypatch):
         # at L = 2, M = 1 and T = 32768 the table is 6 * T * 8 bytes, a
         # chunk's draw 16384 * 8 uniforms and as many normals, its Gram block
-        # 16384 * 16 bytes; a rate search holds PASSES_ALIVE decode passes,
-        # one being counted with temporaries of 2 * T * 8 bytes and each
-        # other one 8 * T + 2 * T bytes: the table, a draw and its Gram fit,
-        # the table, a draw and the search's passes not
+        # 16384 * 16 bytes; a search on the table holds its target-SNR
+        # thresholds, U (T * 8 bytes) and V (2 * T * 8), and one comparison
+        # of U (T bytes): the table, a draw and its Gram fit, the table, a
+        # draw and the count temporaries not
         T = 32768
-        need = 6 * T * 8 + 16384 * 8 * 16 + 2 * T * 8 + (PASSES_ALIVE - 1) * 10 * T
+        need = 6 * T * 8 + 16384 * 8 * 16 + T * 8 + 2 * T * 8 + T
+        assert 16384 * 16 < T * 8 + 2 * T * 8 + T
 
         def physical(n):
             sysconf = lambda name: n if name == "SC_PHYS_PAGES" else 1  # noqa: E731
@@ -294,18 +329,18 @@ class TestDeterminism:
 
         cfg = make_cfg(M=1, trials=T)
         physical(need - 1)
-        with pytest.raises(MemoryError, match=f"count temporaries of {PASSES_ALIVE} "):
-            build_trial_tables(cfg, (2,), passes=PASSES_ALIVE)
-        assert build_trial_table(cfg).c.shape == (T, 1)  # one pass: max-devices
+        with pytest.raises(MemoryError, match=f"target-SNR thresholds, {25 * T} bytes"):
+            build_trial_table(cfg)
         physical(need)
-        assert build_trial_tables(cfg, (2,), passes=PASSES_ALIVE)[0].c.shape == (T, 1)
+        assert build_trial_table(cfg).c.shape == (T, 1)
 
     def test_memory_check_counts_every_table_of_a_sweep(self, monkeypatch):
         # at M = 1 and T = 32768 each table is 6 * T * 8 bytes; the sweep at
         # L = 1, 2 holds both tables and, with two workers, the draws of both
-        # chunks at the L = 2 width, 16384 * 8 uniforms and as many normals
+        # chunks at the L = 2 width, 16384 * 8 uniforms and as many normals;
+        # each build also counts the target-SNR thresholds, 25 * T bytes
         T = 32768
-        physical = 6 * T * 8 + 2 * 16384 * 8 * 16 + 2 * T * 8  # the L = 2 build
+        physical = 6 * T * 8 + 2 * 16384 * 8 * 16 + 25 * T  # the L = 2 build
         sysconf = lambda name: physical if name == "SC_PHYS_PAGES" else 1  # noqa: E731
         monkeypatch.setattr(monte_carlo.os, "sysconf", sysconf)
         cfg = make_cfg(L=1, M=1, trials=T)
