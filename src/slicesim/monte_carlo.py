@@ -106,7 +106,7 @@ class TrialTable:
         no-broadband SINR chain."""
         if self.cfg.M < 1:
             raise ValueError("mMTC outage needs at least one MTC device (M >= 1)")
-        if r_M < 0:
+        if not r_M >= 0:
             raise ValueError(f"r_M must be nonnegative, got {r_M}")
         return (self.prefix_min >= 2.0**r_M - 1.0).sum(axis=1)
 
@@ -131,8 +131,8 @@ class TrialTable:
         cfg = self.cfg
         if cfg.M < 1:
             raise ValueError("joint outage needs at least one MTC device (M >= 1)")
-        if r_M < 0:
-            raise ValueError("rates must be nonnegative")
+        if not r_M >= 0:
+            raise ValueError(f"r_M must be nonnegative, got {r_M}")
         thr_M = 2.0**r_M - 1.0
         if thr_M == 0.0:
             return np.full((cfg.trials, cfg.M), np.inf, order="F")
@@ -164,8 +164,8 @@ class TrialTable:
         cfg = self.cfg
         if cfg.M < 1:
             raise ValueError("joint outage needs at least one MTC device (M >= 1)")
-        if r_B < 0:
-            raise ValueError("rates must be nonnegative")
+        if not r_B >= 0:
+            raise ValueError(f"r_B must be nonnegative, got {r_B}")
         thr_B = 2.0**r_B - 1.0
         V = np.empty((cfg.trials, cfg.M + 1), order="F")
         np.add(self.b_suffix, self.d[:, None], out=V[:, : cfg.M])
@@ -206,14 +206,30 @@ class TrialTable:
         )
 
 
+def _trial_bytes(M: int, width: int) -> int:
+    # the most bytes one trial of a chunk holds at once, from the arrays that
+    # `_normals_from_uniforms` and `_table_chunk` allocate: the draw's
+    # uniforms, clamp and normals (24 bytes per column of the widest L); a
+    # reduction's normals and channel copies (at most 24 per column), its
+    # complex Gram and squared magnitudes (24 per entry), and the float64
+    # vectors it ends with (80 per signal, the M devices and the broadband)
+    return 24 * (width + M * M) + 80 * (M + 1)
+
+
+def _count_bytes(T: int, M: int) -> int:
+    # the most bytes a search holds beside a table of T trials: U, V and the
+    # decoded counts, and a count pass's larger transient, its (T, M) bool
+    # comparison or three int64 gather indices, each with an int32 sum; and
+    # one reduction's cast buffer of np.getbufsize() values
+    return T * (17 * M + 44) + 8 * np.getbufsize()
+
+
 def _chunk_size(M: int, width: int) -> int:
-    # at most 64 MiB per chunk: one trial draws `width` uniforms and as many
-    # normals (16 bytes per column) and reduces to an (M, M) complex Gram
-    # (16 bytes per entry); a trial larger than that is a chunk of its own.
-    # Writing fresh pages costs about twice as much as rewriting touched ones
-    # (a 64 MiB fill: 17 ms against 8.7 ms on a 2-vCPU VM), so the draw counts
-    # toward the bound as well as the Gram
-    return max(1, min(16384, 2**26 // (16 * (width + M * M))))
+    # the most trials whose peak fits in 64 MiB, at most 16384; a trial larger
+    # than that is a chunk of its own. Writing fresh pages costs about twice
+    # as much as rewriting touched ones (a 64 MiB fill: 17 ms against 8.7 ms
+    # on a 2-vCPU VM), so a smaller chunk is cheaper per byte as well
+    return max(1, min(16384, 2**26 // _trial_bytes(M, width)))
 
 
 def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
@@ -237,7 +253,9 @@ def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
     cross = cross.view(np.float64)
     np.square(cross, out=cross)
     cross = cross[:, :, 0::2] + cross[:, :, 1::2]
-    upper = np.triu(np.ones((M, M)), k=1)
+    # 1.0 above the diagonal, as np.triu(np.ones((M, M)), k=1) without the
+    # (M, M) float64 ones it masks: a one-trial chunk has no room for them
+    upper = (np.arange(M)[:, None] < np.arange(M)).astype(np.float64)
     interf = cfg.P_M * np.einsum("tmn,mn->tm", cross, upper)
     b = xb.real**2 + xb.imag**2
     d = np.einsum("tl,tl->t", g_B, g_B.conj()).real
@@ -257,30 +275,27 @@ def build_trial_tables(
     independent of chunking and of `workers`, which only bounds the thread
     pool used across chunks.
 
-    Every table of the sweep is alive at once. Raises MemoryError, before
-    allocating, when the tables, plus the draws of the chunks in flight,
-    plus the larger of one chunk's Gram block and the count temporaries,
-    exceed the machine's physical memory. The count temporaries are what a
-    search holds on one table: its target-SNR thresholds U and V and one
-    comparison of U against a target SNR.
+    Every table of the sweep is alive at once; builds and searches never
+    overlap. Raises MemoryError, before allocating, when the tables plus the
+    larger of two peaks exceed the machine's physical memory: the chunks in
+    flight, each holding its own draw and Gram (`_trial_bytes` per trial),
+    and the count temporaries of a search on one table (`_count_bytes`).
     """
     T, M = cfg.trials, cfg.M
     width = 2 * max(L_values) * (M + 1)
     step = _chunk_size(M, width)
     in_flight = min(max(workers, 1), -(-T // step))  # threads, at most one per chunk
     table_bytes = T * (5 * M + 1) * 8  # five (T, M) arrays and d, float64
-    draw_bytes = min(step, T) * width * 16  # a chunk's uniforms and normals
-    gram_bytes = min(step, T) * M * M * 16
-    # U, (T, M) float64, V, (T, M + 1) float64, and a (T, M) bool comparison
-    eval_bytes = T * M * 8 + T * (M + 1) * 8 + T * M
-    need = len(L_values) * table_bytes + in_flight * draw_bytes + max(gram_bytes, eval_bytes)
+    chunk_bytes = min(step, T) * _trial_bytes(M, width)
+    count_bytes = _count_bytes(T, M)
+    need = len(L_values) * table_bytes + max(in_flight * chunk_bytes, count_bytes)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
         raise MemoryError(
-            f"{len(L_values)} trial table(s) of {table_bytes} bytes, {in_flight} chunk "
-            f"draw(s) of {draw_bytes} bytes, and a chunk Gram of {gram_bytes} bytes "
-            f"or the count temporaries of the target-SNR thresholds, {eval_bytes} "
-            f"bytes, exceed the {physical} bytes of physical memory"
+            f"{len(L_values)} trial table(s) of {table_bytes} bytes and the larger of "
+            f"{in_flight} chunk(s) in flight of {chunk_bytes} bytes and the count "
+            f"temporaries of {count_bytes} bytes exceed the {physical} bytes of "
+            "physical memory"
         )
 
     def column():
@@ -297,15 +312,20 @@ def build_trial_tables(
         t0, t1 = span
         Z = _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, width))
         for tab in tables:
-            out = _table_chunk(tab.cfg, Z[:, : 2 * tab.cfg.L * (M + 1)])
-            arrays = (tab.c, tab.interf, tab.b, tab.b_suffix, tab.d, tab.prefix_min)
-            for dst, src in zip(arrays, out):
-                dst[t0:t1] = src
+            # copied into the table in one statement: a table's reduction is
+            # freed before the next one runs
+            (tab.c[t0:t1], tab.interf[t0:t1], tab.b[t0:t1], tab.b_suffix[t0:t1],
+             tab.d[t0:t1], tab.prefix_min[t0:t1]) = _table_chunk(
+                tab.cfg, Z[:, : 2 * tab.cfg.L * (M + 1)])
 
     if in_flight > 1:
         with ThreadPoolExecutor(max_workers=in_flight) as pool:
             list(pool.map(fill, bounds))
     else:
+        # in the calling thread: a worker thread allocates from a malloc arena
+        # of its own, which the C library hands back to the system less
+        # readily than the main one, so one worker thread made the `max-devices`
+        # sweep's peak RSS 160-213 MB from run to run, against a steady 137 MB
         for span in bounds:
             fill(span)
     return tables

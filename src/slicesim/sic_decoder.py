@@ -56,7 +56,7 @@ class DecodeOutcome:
 
 
 def _rate_threshold(r: float) -> float:
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"rate must be nonnegative, got {r}")
     return 2.0**r - 1.0
 

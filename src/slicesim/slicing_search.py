@@ -37,8 +37,10 @@ A count compares per-trial target-SNR thresholds (`monte_carlo`): the
 broadband ones depend only on r_B and the MTC ones only on the MTC rate.
 The rate search builds the broadband thresholds once per r_B point and
 the MTC thresholds once per rate probe, and counts each probed target SNR
-with one comparison pass against them; the device-count search does the
-same on each table it probes.
+with one comparison pass against them. The device-count search, whose
+points share r_M, builds the MTC thresholds once per table it probes and
+the broadband ones once per point on it. Whatever owns a rate builds its
+thresholds and hands them to the target-SNR search.
 
 The searches return plain values, as tuples of rates, target SNRs and
 error counts, which the caller formats.
@@ -157,24 +159,28 @@ def min_feasible_gamma_tar(
     must be, and the interval is bisected geometrically to GAMMA_REL_TOL;
     the feasible end of the final bracket is returned.
     """
+    if not (r_B >= 0 and r_M >= 0):
+        raise ValueError(f"rates must be nonnegative, got r_B={r_B}, r_M={r_M}")
     bracket = _gamma_bracket(operating_point(cfg), r_B)
     if bracket is None:
         return None
     if table is None:
         table = build_trial_table(cfg)
-    found = _gamma_search(table, bracket, table.embb_thresholds(r_B), r_M)
+    found = _gamma_search(table, bracket, table.embb_thresholds(r_B),
+                          table.mmtc_thresholds(r_M), table.orth_decoded(r_M))
     return None if found is None else found[0]
 
 
 def _gamma_search(
-    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, r_M: float
+    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, U: np.ndarray,
+    orth_decoded: np.ndarray,
 ) -> Optional[Tuple[float, Counts]]:
     """The search of `min_feasible_gamma_tar` on a nonempty admissible
-    interval, with V the table's `embb_thresholds` at its r_B: (target SNR,
-    the `nonorth_error_counts` at it), or None. The MTC thresholds are built
-    once and every probed target SNR is counted against them."""
+    interval, with V the table's `embb_thresholds` at its r_B, and U and
+    orth_decoded its `mmtc_thresholds` and `orth_decoded` at its r_M:
+    (target SNR, the `nonorth_error_counts` at it), or None. Every probed
+    target SNR is one `threshold_counts` pass."""
     cfg = table.cfg
-    U, orth_decoded = table.mmtc_thresholds(r_M), table.orth_decoded(r_M)
 
     def counts(g: float) -> Counts:
         return table.threshold_counts(U, V, orth_decoded, g)
@@ -200,14 +206,14 @@ def _gamma_search(
 
 
 def _accepted(
-    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, r_M: float
+    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, U: np.ndarray,
+    orth_decoded: np.ndarray,
 ) -> Optional[Tuple[float, Counts]]:
-    """(target SNR, its counts) accepted at r_M on the table: the target SNR
-    that `_gamma_search` finds within eps_B on the nonempty admissible
-    interval `bracket`, with V the broadband thresholds at its r_B, when the
-    MTC outage of the same count meets eps_M; None when the rate pair is
-    infeasible."""
-    found = _gamma_search(table, bracket, V, r_M)
+    """(target SNR, its counts) accepted on the table: the target SNR that
+    `_gamma_search` finds within eps_B on the nonempty admissible interval
+    `bracket`, with the thresholds of its rates, when the MTC outage of the
+    same count meets eps_M; None when the rate pair is infeasible."""
+    found = _gamma_search(table, bracket, V, U, orth_decoded)
     if found is None:
         return None
     cfg = table.cfg
@@ -232,19 +238,22 @@ def max_mmtc_rate_nonorth(
     """
     cfg = table.cfg
     op = operating_point(cfg)
-    if r_B < 0 or r_B > op.r_B_out * (1.0 + 1e-12):
+    if not 0 <= r_B <= op.r_B_out * (1.0 + 1e-12):
         raise ValueError(f"r_B must lie in [0, r_B_out={op.r_B_out:.6f}], got {r_B}")
     bracket = _gamma_bracket(op, r_B)
     if bracket is None:
         return 0.0, op.gamma_tar, None
     V = table.embb_thresholds(r_B)
     # rate 0 is always feasible: every device decodes with the broadband
-    # signal pending, which is then decoded interference-free
-    lo, best = 0.0, _accepted(table, bracket, V, 0.0)
+    # signal pending, which is then decoded interference-free. A probe's MTC
+    # thresholds are call arguments, freed when the probe returns
+    lo, best = 0.0, _accepted(table, bracket, V, table.mmtc_thresholds(0.0),
+                              table.orth_decoded(0.0))
     hi = r_M_out + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        found = _accepted(table, bracket, V, mid)
+        found = _accepted(table, bracket, V, table.mmtc_thresholds(mid),
+                          table.orth_decoded(mid))
         if found is None:
             hi = mid
         else:
@@ -293,7 +302,7 @@ def max_devices(
     answered. The table is then dropped, so one table is alive at a time.
     Each point's probes and result are those of a search on its own.
     """
-    if r_M <= 0:
+    if not r_M > 0:
         raise ValueError(f"r_M must be positive, got {r_M}")
     op = operating_point(cfg)
     # point index -> (r_M, r_B, target-SNR bracket) its tables are tested at;
@@ -301,6 +310,8 @@ def max_devices(
     # MTC fraction of the slot
     searches = {}
     for i, (r_B, mode) in enumerate(points):
+        if not r_B >= 0:
+            raise ValueError(f"r_B must be nonnegative, got {r_B}")
         if mode == "orthogonal":
             alpha = r_B / op.r_B_out
             if alpha < 1.0:
@@ -326,14 +337,17 @@ def max_devices(
             break
         m = min(waiting)
         table = build_trial_table(replace(cfg, M=m), workers=workers)
+        mtc = None  # the MTC thresholds at r_M, shared by the non-orthogonal points
         for i in waiting[m]:
             r_M_i, r_B, gammas = searches[i]
             if gammas is None:
                 ok = table.mmtc_orth_error_count(r_M_i) / (m * cfg.trials) <= cfg.eps_M
             else:
-                ok = _accepted(table, gammas, table.embb_thresholds(r_B), r_M_i) is not None
+                if mtc is None:
+                    mtc = table.mmtc_thresholds(r_M), table.orth_decoded(r_M)
+                ok = _accepted(table, gammas, table.embb_thresholds(r_B), *mtc) is not None
             brackets[i][0 if ok else 1] = m
-        del table  # before the next build: one table alive at a time
+        del table, mtc  # before the next build: one table and its thresholds alive
     result = [0] * len(points)
     for i, (lo, hi) in brackets.items():
         if hi is None:

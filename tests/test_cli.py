@@ -413,6 +413,24 @@ class TestRunMaxDevices:
         assert main(argv) == 0
         assert out.read_bytes() == MAX_DEVICES_CSV.read_bytes()
 
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, builds):
+        # the benchmark's max-devices sweep (fig5 at L = 8, three r_B points,
+        # 1000 trials): its larger probed tables span two chunks or more, so
+        # three workers run chunks of one table at once
+        cfg = tmp_path / "md.cfg"
+        cfg.write_text("L = 8\nr_b_points = 3\n")
+        outputs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}.csv"
+            argv = ["max-devices", "--preset", "fig5", "--config", str(cfg), "--trials",
+                    "1000", "--workers", workers, "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        chunks = [-(-1000 // slicesim.monte_carlo._chunk_size(M, 2 * L * (M + 1)))
+                  for L, M in builds]
+        assert max(chunks) >= 2
+
     @pytest.mark.parametrize("r_M", ["0.0", "-0.25"])
     def test_nonpositive_rate_is_2(self, tmp_path, capsys, builds, r_M):
         cfg = tmp_path / "md.cfg"
@@ -475,12 +493,12 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("workers", ["1", "3"])
     @pytest.mark.parametrize("command", ["outage", "region"])
     def test_sweep_csv_is_its_single_antenna_runs(self, tmp_path, command, workers):
-        # M = 50 makes 1015-trial chunks at the L = 16 width, so 2000 trials
+        # M = 50 makes 649-trial chunks at the L = 16 width, so 1000 trials
         # are two chunks, and the L = 1 and L = 8 tables read column prefixes
         # of the L = 16 draw
-        assert 1000 < slicesim.monte_carlo._chunk_size(50, 2 * 16 * 51) < 2000
+        assert 500 < slicesim.monte_carlo._chunk_size(50, 2 * 16 * 51) < 1000
         text = (
-            GOOD_CONFIG.replace("M = 3", "M = 50").replace("trials = 800", "trials = 2000")
+            GOOD_CONFIG.replace("M = 3", "M = 50").replace("trials = 800", "trials = 1000")
             + "mode = both\nr_M = 0.1\nr_B = 1.0\nalpha_points = 3\nr_b_points = 3\n"
         )
 

@@ -11,6 +11,7 @@ from conftest import assert_thresholds_built_once
 from slicesim.channel import SystemConfig
 from slicesim.embb_analysis import operating_point
 from slicesim.monte_carlo import build_trial_table
+from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 from slicesim.slicing_search import (
     RATE_CAP,
     RATE_TOL,
@@ -30,6 +31,38 @@ def make_cfg(**kw):
     )
     base.update(kw)
     return SystemConfig(**base)
+
+
+NAN = float("nan")
+G_M, G_B = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda t: t.orth_decoded(NAN), id="orth_decoded"),
+    pytest.param(lambda t: t.mmtc_orth_error_count(NAN), id="mmtc_orth_error_count"),
+    pytest.param(lambda t: t.mmtc_thresholds(NAN), id="mmtc_thresholds"),
+    pytest.param(lambda t: t.embb_thresholds(NAN), id="embb_thresholds"),
+    pytest.param(lambda t: t.nonorth_error_counts(NAN, 1.0, 50.0), id="nonorth-r_M"),
+    pytest.param(lambda t: max_mmtc_rate_nonorth(t, NAN, 1.0), id="max_mmtc_rate_nonorth"),
+    pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, NAN, 0.3, table=t),
+                 id="min_feasible_gamma_tar-r_B"),
+    pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, 0.5, NAN, table=t),
+                 id="min_feasible_gamma_tar-r_M"),
+    pytest.param(lambda t: max_devices(t.cfg, NAN, [(0.0, "orthogonal")]),
+                 id="max_devices-r_M"),
+    pytest.param(lambda t: max_devices(t.cfg, 0.25, [(NAN, "orthogonal")]),
+                 id="max_devices-orthogonal-r_B"),
+    pytest.param(lambda t: max_devices(t.cfg, 0.25, [(NAN, "non_orthogonal")]),
+                 id="max_devices-non_orthogonal-r_B"),
+    pytest.param(lambda t: decode_orthogonal(G_M, 1.0, NAN), id="decode_orthogonal"),
+    pytest.param(lambda t: decode_non_orthogonal(G_M, G_B, 1.0, 2.0, 0.5, NAN),
+                 id="decode_non_orthogonal-r_B"),
+])
+def test_nan_rate_is_rejected(call):
+    # every rate check is written so that NaN fails it, as a negative rate does
+    table = build_trial_table(make_cfg(trials=500))
+    with pytest.raises(ValueError):
+        call(table)
 
 
 class TestMaxMmtcRateOrth:
@@ -305,9 +338,11 @@ class TestMaxDevices:
         assert max_devices(make_cfg(trials=500), 0.25, []) == []
 
     @pytest.mark.parametrize("L", [1, 4, 8])
-    def test_matches_search_point_by_point(self, L, monkeypatch):
+    def test_matches_search_point_by_point(self, L, monkeypatch, count_events):
         # the shared search gives, at every point, the count of a search
-        # that runs on its own and builds a new table for every probe
+        # that runs on its own and builds a new table for every probe; the
+        # non-orthogonal points share r_M, so each table's MTC thresholds
+        # are built at most once
         import slicesim.slicing_search as search
 
         cfg = make_cfg(L=L, trials=600)
@@ -318,13 +353,26 @@ class TestMaxDevices:
             for r_B in np.linspace(0.0, op.r_B_out, 4)
         ]
         want = [per_point_max_devices(cfg, 0.25, r_B, mode) for r_B, mode in points]
+        count_events.clear()
         built, build = [], search.build_trial_table
-        counting = lambda c, **kw: built.append(c.M) or build(c, **kw)  # noqa: E731
+
+        def counting(c, **kw):
+            built.append(c.M)
+            count_events.append(("build", c.M))
+            return build(c, **kw)
+
         monkeypatch.setattr(search, "build_trial_table", counting)
         assert max_devices(cfg, 0.25, points) == want
         assert want[0] == want[4] >= 1 and want[3] == want[7] == 0
         assert any(m > 0 for m in want[1:3] + want[5:7])
         assert len(built) == len(set(built))
+        u_builds = []  # per table built, its MTC threshold builds
+        for kind, *_ in count_events:
+            if kind == "build":
+                u_builds.append(0)
+            elif kind == "U":
+                u_builds[-1] += 1
+        assert len(u_builds) == len(built) and max(u_builds) == 1
 
 
 def per_point_max_devices(cfg, r_M, r_B, mode):
