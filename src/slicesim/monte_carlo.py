@@ -18,7 +18,9 @@ first 2L(M+1) uniforms of each trial's stream, so its draw is a column
 prefix of the draw of any wider table with the same M. `build_trial_tables`
 draws each chunk of trials once, at the widest L of the sweep, and reduces
 every L's table from its column prefix; `build_trial_table` is the sweep
-of one antenna count.
+of one antenna count. A device count's draw is in the same way a column
+prefix of the draw of any larger device count, and a `HeldDraw` keeps one
+draw across builds so that narrower builds reduce from its prefix.
 
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
 are the evaluation API: they return error counts, whose estimate is
@@ -47,7 +49,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from .channel import SystemConfig
 from .numerics import _normals_from_uniforms, keyed_uniforms
 
 __all__ = [
-    "wilson_half_width", "TrialTable", "build_trial_table", "build_trial_tables",
+    "wilson_half_width", "TrialTable", "HeldDraw", "build_trial_table", "build_trial_tables",
 ]
 
 _Z95 = 1.959963984540054
@@ -224,12 +226,33 @@ def _count_bytes(T: int, M: int) -> int:
     return T * (17 * M + 44) + 8 * np.getbufsize()
 
 
+# bytes: the most a chunk of trials holds at once, and the most a HeldDraw holds
+_CHUNK_BUDGET = 2**26
+
+
 def _chunk_size(M: int, width: int) -> int:
-    # the most trials whose peak fits in 64 MiB, at most 16384; a trial larger
-    # than that is a chunk of its own. Writing fresh pages costs about twice
-    # as much as rewriting touched ones (a 64 MiB fill: 17 ms against 8.7 ms
-    # on a 2-vCPU VM), so a smaller chunk is cheaper per byte as well
-    return max(1, min(16384, 2**26 // _trial_bytes(M, width)))
+    # the most trials whose peak fits in the 64 MiB budget, at most 16384; a
+    # trial larger than that is a chunk of its own. Writing fresh pages costs
+    # about twice as much as rewriting touched ones (a 64 MiB fill: 17 ms
+    # against 8.7 ms on a 2-vCPU VM), so a smaller chunk is cheaper per byte
+    # as well
+    return max(1, min(16384, _CHUNK_BUDGET // _trial_bytes(M, width)))
+
+
+class HeldDraw:
+    """The normals of the first trials of one seed's streams, kept from one
+    build to the next, so that a build reduces those trials from a column
+    prefix of the held draw instead of drawing them again.
+
+    A build wider than the held draw frees it and holds its own draw in its
+    place; a build no wider reads it. The held rows are the first min(T,
+    64 MiB // (8 width)) trials at the width they were drawn at; a build
+    draws its trials beyond them as it would without a held draw.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.normals = np.empty((0, 0))
 
 
 def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
@@ -265,7 +288,8 @@ def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
 
 
 def build_trial_tables(
-    cfg: SystemConfig, L_values: Sequence[int], workers: int = 1
+    cfg: SystemConfig, L_values: Sequence[int], workers: int = 1,
+    held: Optional[HeldDraw] = None,
 ) -> List[TrialTable]:
     """Trial tables of cfg at each antenna count in L_values, in that order.
 
@@ -273,29 +297,43 @@ def build_trial_tables(
     reduced from its column prefix of those normals, so each table equals
     one built on its own. Per-trial keyed streams make the result
     independent of chunking and of `workers`, which only bounds the thread
-    pool used across chunks.
+    pool used across chunks. With `held`, the trials it holds are read from
+    its column prefix, or drawn into it when this build is wider than it
+    (see `HeldDraw`); no chunk spans both its trials and later ones.
 
     Every table of the sweep is alive at once; builds and searches never
-    overlap. Raises MemoryError, before allocating, when the tables plus the
-    larger of two peaks exceed the machine's physical memory: the chunks in
-    flight, each holding its own draw and Gram (`_trial_bytes` per trial),
-    and the count temporaries of a search on one table (`_count_bytes`).
+    overlap. Raises MemoryError, before allocating, when the tables and the
+    held draw plus the larger of two peaks exceed the machine's physical
+    memory: the chunks in flight, each holding its own draw and Gram
+    (`_trial_bytes` per trial), and the count temporaries of a search on one
+    table (`_count_bytes`).
     """
     T, M = cfg.trials, cfg.M
     width = 2 * max(L_values) * (M + 1)
+    rows, redraw, held_bytes = 0, False, 0  # trials read from or drawn into `held`
+    if held is not None:
+        if held.seed != cfg.seed:
+            raise ValueError(f"held draw of seed {held.seed} for a build of seed {cfg.seed}")
+        redraw = held.normals.shape[1] < width
+        rows = min(T, _CHUNK_BUDGET // (8 * width) if redraw else len(held.normals))
+        held_bytes = rows * width * 8 if redraw else held.normals.nbytes
     step = _chunk_size(M, width)
-    in_flight = min(max(workers, 1), -(-T // step))  # threads, at most one per chunk
+    # chunks end at the held rows' end; counted, not listed, before the check:
+    # one-trial chunks of a table far over memory would make a list as long
+    chunks = -(-rows // step) - (-(T - rows) // step)
+    in_flight = min(max(workers, 1), chunks)  # threads, at most one per chunk
     table_bytes = T * (5 * M + 1) * 8  # five (T, M) arrays and d, float64
     chunk_bytes = min(step, T) * _trial_bytes(M, width)
     count_bytes = _count_bytes(T, M)
-    need = len(L_values) * table_bytes + max(in_flight * chunk_bytes, count_bytes)
+    need = (len(L_values) * table_bytes + held_bytes
+            + max(in_flight * chunk_bytes, count_bytes))
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
         raise MemoryError(
-            f"{len(L_values)} trial table(s) of {table_bytes} bytes and the larger of "
-            f"{in_flight} chunk(s) in flight of {chunk_bytes} bytes and the count "
-            f"temporaries of {count_bytes} bytes exceed the {physical} bytes of "
-            "physical memory"
+            f"{len(L_values)} trial table(s) of {table_bytes} bytes, a held draw of "
+            f"{held_bytes} bytes and the larger of {in_flight} chunk(s) in flight of "
+            f"{chunk_bytes} bytes and the count temporaries of {count_bytes} bytes "
+            f"exceed the {physical} bytes of physical memory"
         )
 
     def column():
@@ -306,11 +344,24 @@ def build_trial_tables(
                    column())
         for L in L_values
     ]
-    bounds = [(t0, min(t0 + step, T)) for t0 in range(0, T, step)]
+    # the held draw is allocated after the tables: allocated before them, it
+    # raised the `max-devices` workload's peak RSS from about 129 MB to 142 MB
+    if redraw:
+        held.normals = None  # the narrower draw is freed before the wider one
+        held.normals = np.empty((rows, width))
+    kept = None if held is None else held.normals
+    bounds = [(t0, min(t0 + step, rows)) for t0 in range(0, rows, step)]
+    bounds += [(t0, min(t0 + step, T)) for t0 in range(rows, T, step)]
 
     def fill(span):
         t0, t1 = span
-        Z = _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, width))
+        if t1 <= rows and not redraw:
+            Z = kept[t0:t1, :width]
+        else:
+            Z = _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, width))
+            if t1 <= rows:  # held, and the chunk's own draw freed before its reduction
+                kept[t0:t1] = Z
+                Z = kept[t0:t1]
         for tab in tables:
             # copied into the table in one statement: a table's reduction is
             # freed before the next one runs
@@ -331,6 +382,8 @@ def build_trial_tables(
     return tables
 
 
-def build_trial_table(cfg: SystemConfig, workers: int = 1) -> TrialTable:
+def build_trial_table(
+    cfg: SystemConfig, workers: int = 1, held: Optional[HeldDraw] = None
+) -> TrialTable:
     """The trial table of cfg alone: `build_trial_tables` at cfg.L."""
-    return build_trial_tables(cfg, (cfg.L,), workers)[0]
+    return build_trial_tables(cfg, (cfg.L,), workers, held)[0]

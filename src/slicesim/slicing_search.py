@@ -47,7 +47,11 @@ error counts, which the caller formats.
 
 The device-count search needs a table per probed device count. It answers
 all (r_B, mode) points of one antenna count together, so each count is
-built once and only one table is alive at a time.
+built once and only one table is alive at a time. Beside it the search
+holds one draw, that of the widest count probed so far, capped at 64 MiB:
+a device count's draw is a column prefix of a larger count's, so a build
+no wider than the held draw reads its held trials instead of drawing them,
+and only the doubling phase, which widens it, draws them anew.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .embb_analysis import EmbbOperatingPoint, operating_point
-from .monte_carlo import TrialTable, build_trial_table
+from .monte_carlo import HeldDraw, TrialTable, build_trial_table
 
 __all__ = [
     "max_mmtc_rate_orth",
@@ -240,6 +244,8 @@ def max_mmtc_rate_nonorth(
     op = operating_point(cfg)
     if not 0 <= r_B <= op.r_B_out * (1.0 + 1e-12):
         raise ValueError(f"r_B must lie in [0, r_B_out={op.r_B_out:.6f}], got {r_B}")
+    if not r_M_out >= 0:
+        raise ValueError(f"r_M_out must be nonnegative, got {r_M_out}")
     bracket = _gamma_bracket(op, r_B)
     if bracket is None:
         return 0.0, op.gamma_tar, None
@@ -300,7 +306,9 @@ def max_devices(
     The points share their tables: each probed count gets one table, built
     with `workers` threads, on which every point probing that count is
     answered. The table is then dropped, so one table is alive at a time.
-    Each point's probes and result are those of a search on its own.
+    Beside it one `HeldDraw` is alive: the draw of the widest count probed
+    so far, whose column prefix each narrower count's table is reduced
+    from. Each point's probes and result are those of a search on its own.
     """
     if not r_M > 0:
         raise ValueError(f"r_M must be positive, got {r_M}")
@@ -327,6 +335,7 @@ def max_devices(
     # each count has one place. So all the points that ever probe a count are
     # waiting on it when it is first built, and no count is built twice.
     brackets = {i: [0, None] for i in searches}  # lo feasible, hi not or None
+    held = HeldDraw(cfg.seed)  # redrawn only while doubling widens it
     while True:
         waiting = {}
         for i, bracket in brackets.items():
@@ -336,7 +345,7 @@ def max_devices(
         if not waiting:
             break
         m = min(waiting)
-        table = build_trial_table(replace(cfg, M=m), workers=workers)
+        table = build_trial_table(replace(cfg, M=m), workers=workers, held=held)
         mtc = None  # the MTC thresholds at r_M, shared by the non-orthogonal points
         for i in waiting[m]:
             r_M_i, r_B, gammas = searches[i]

@@ -310,6 +310,12 @@ class TestDeterminism:
         b = build_trial_table(cfg, workers=4).nonorth_error_counts(0.4, 2.0, 50.0)
         assert a == b
 
+    def test_held_draw_of_another_seed_is_rejected(self):
+        held = monte_carlo.HeldDraw(seed=1)
+        build_trial_table(make_cfg(seed=1), held=held)
+        with pytest.raises(ValueError, match="seed"):
+            build_trial_table(make_cfg(seed=2), held=held)
+
     def test_table_over_physical_memory_raises_before_allocating(self):
         with pytest.raises(MemoryError, match="physical memory"):
             build_trial_table(make_cfg(M=4096, trials=10**8))
@@ -476,6 +482,47 @@ class TestMemoryBounds:
             table.nonorth_error_counts(0.5 * r_M_out, 0.3 * op.r_B_out, op.gamma_tar)
 
         assert traced_peak(search) <= monte_carlo._count_bytes(trials, M)
+
+    def test_max_devices_peak_is_within_its_reservation(self, monkeypatch):
+        # the benchmark's max-devices shape (L = 8, 1000 trials), whose widest
+        # probed count, 64, holds 1000 trials of 1040 columns: each build
+        # reserves its table, the held draw and the larger of its chunk and
+        # its count temporaries. The run's peak is within the largest
+        # reservation, one byte short of it raises and the exact size runs
+        import slicesim.slicing_search as search
+
+        cfg = make_cfg(L=8, trials=1000)
+        points = [(0.0, "orthogonal"), (0.0, "non_orthogonal")]
+        probed, build = [], search.build_trial_table
+
+        def recording(c, **kw):
+            probed.append(c.M)
+            return build(c, **kw)
+
+        monkeypatch.setattr(search, "build_trial_table", recording)
+        want = search.max_devices(cfg, 0.25, points)
+        monkeypatch.setattr(search, "build_trial_table", build)
+        assert max(probed) == 64
+        T, widest, need = cfg.trials, 0, 0
+        for M in probed:
+            width = 2 * cfg.L * (M + 1)
+            widest = max(widest, width)
+            held = min(T, monte_carlo._CHUNK_BUDGET // (8 * widest)) * widest * 8
+            step = monte_carlo._chunk_size(M, width)
+            chunk = min(step, T) * monte_carlo._trial_bytes(M, width)
+            need = max(need, T * (5 * M + 1) * 8 + held
+                       + max(chunk, monte_carlo._count_bytes(T, M)))
+        assert traced_peak(lambda: search.max_devices(cfg, 0.25, points)) <= need
+
+        def physical(n):
+            sysconf = lambda name: n if name == "SC_PHYS_PAGES" else 1  # noqa: E731
+            monkeypatch.setattr(monte_carlo.os, "sysconf", sysconf)
+
+        physical(need - 1)
+        with pytest.raises(MemoryError, match="a held draw of 8320000 bytes"):
+            search.max_devices(cfg, 0.25, points)
+        physical(need)
+        assert search.max_devices(cfg, 0.25, points) == want
 
 
 class TestOrthogonalEstimator:

@@ -44,6 +44,10 @@ G_M, G_B = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.0])
     pytest.param(lambda t: t.embb_thresholds(NAN), id="embb_thresholds"),
     pytest.param(lambda t: t.nonorth_error_counts(NAN, 1.0, 50.0), id="nonorth-r_M"),
     pytest.param(lambda t: max_mmtc_rate_nonorth(t, NAN, 1.0), id="max_mmtc_rate_nonorth"),
+    pytest.param(lambda t: max_mmtc_rate_nonorth(t, 0.5, NAN),
+                 id="max_mmtc_rate_nonorth-r_M_out"),
+    pytest.param(lambda t: max_mmtc_rate_nonorth(t, 0.5, -5.0),
+                 id="max_mmtc_rate_nonorth-negative-r_M_out"),
     pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, NAN, 0.3, table=t),
                  id="min_feasible_gamma_tar-r_B"),
     pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, 0.5, NAN, table=t),
@@ -373,6 +377,93 @@ class TestMaxDevices:
             elif kind == "U":
                 u_builds[-1] += 1
         assert len(u_builds) == len(built) and max(u_builds) == 1
+
+
+class TestHeldDraw:
+    """`max_devices` reduces each probed count's held trials from a column
+    prefix of the draw of the widest count probed so far."""
+
+    @staticmethod
+    def recorded_run(monkeypatch, budget, workers=1):
+        """The device counts at L = 4 and 3000 trials, with the chunk and
+        hold budget set to `budget` bytes (None keeps it), and per build in
+        probe order: M, the build, the held draw's shape before and after
+        it, and the (first stream, streams, width) of each keyed draw it
+        made. The widest count probed is 32, a held draw of 264 columns."""
+        import slicesim.slicing_search as search
+        from slicesim import monte_carlo
+
+        if budget is not None:
+            monkeypatch.setattr(monte_carlo, "_CHUNK_BUDGET", budget)
+        builds = []
+        build, draw = search.build_trial_table, monte_carlo.keyed_uniforms
+
+        def building(c, workers, held):
+            builds.append(dict(M=c.M, before=held.normals.shape, draws=[]))
+            builds[-1]["table"] = build(c, workers=workers, held=held)
+            builds[-1]["after"] = held.normals.shape
+            return builds[-1]["table"]
+
+        def drawing(seed, first_stream, n_streams, n_per):
+            builds[-1]["draws"].append((first_stream, n_streams, n_per))
+            return draw(seed, first_stream, n_streams, n_per)
+
+        monkeypatch.setattr(search, "build_trial_table", building)
+        monkeypatch.setattr(monte_carlo, "keyed_uniforms", drawing)
+        cfg = make_cfg(L=4, trials=3000)
+        points = [(0.0, "orthogonal"), (0.3 * operating_point(cfg).r_B_out, "non_orthogonal")]
+        result = max_devices(cfg, 0.25, points, workers=workers)
+        assert max(b["M"] for b in builds) == 32
+        return cfg, result, builds
+
+    @staticmethod
+    def held_rows(builds, T, whole):
+        # per build, the trials held after it: the full hold holds every
+        # trial; the partial one ends mid-table from M = 16 on, and mid-chunk
+        # in some builds
+        from slicesim import monte_carlo
+
+        rows = [b["after"][0] for b in builds]
+        if whole:
+            assert rows == [T] * len(builds)
+        else:
+            assert all(r < T for r, b in zip(rows, builds) if b["M"] >= 16)
+            steps = [monte_carlo._chunk_size(b["M"], 8 * (b["M"] + 1)) for b in builds]
+            assert any(r < T and r % step for r, step in zip(rows, steps))
+        return rows
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("budget", [None, 2**20], ids=["full-hold", "partial-hold"])
+    def test_tables_equal_those_built_alone(self, monkeypatch, budget, workers):
+        cfg, result, builds = self.recorded_run(monkeypatch, budget, workers)
+        self.held_rows(builds, cfg.trials, budget is None)
+        assert result == [31, 26]
+        for b in builds:
+            alone = build_trial_table(replace(cfg, M=b["M"]))
+            for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
+                assert np.array_equal(getattr(b["table"], name), getattr(alone, name))
+
+    @pytest.mark.parametrize("budget", [None, 2**20], ids=["full-hold", "partial-hold"])
+    def test_draws_only_when_the_width_grows(self, monkeypatch, budget):
+        # a build wider than every one before it draws all its trials, at
+        # its own width, into a new held draw; any other build draws only
+        # its trials beyond the held rows. No draw spans the held rows' end
+        cfg, _, builds = self.recorded_run(monkeypatch, budget)
+        T = cfg.trials
+        rows = self.held_rows(builds, T, budget is None)
+        widest = 0
+        for b, held in zip(builds, rows):
+            width = 8 * (b["M"] + 1)
+            grows = b["M"] > widest
+            widest = max(widest, b["M"])
+            assert b["after"] == ((held, width) if grows else b["before"])
+            streams = [s for first, n, _ in b["draws"] for s in range(first, first + n)]
+            assert streams == list(range(0 if grows else held, T))
+            assert all(w == width for *_, w in b["draws"])
+            assert all(first + n <= held or first >= held for first, n, _ in b["draws"])
+        # the doubling phase widens the draw: M = 1, 2, 4, 8, 16, 32
+        assert [b["M"] for b in builds if b["before"][1] < 8 * (b["M"] + 1)] == [
+            1, 2, 4, 8, 16, 32]
 
 
 def per_point_max_devices(cfg, r_M, r_B, mode):
