@@ -153,20 +153,11 @@ def _convert(key: str, value: str):
             return tuple(int(v) for v in value.split(","))
         if key == "mode":
             return value
+        if key.endswith("_db"):  # a gain in dB, linear from here on
+            return db_to_linear(float(value))
         return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"config field {key!r}: cannot parse {value!r}") from exc
-
-
-def _pick_gain(raw: Dict, name: str) -> float:
-    lin, db = raw.get(name), raw.get(f"{name}_db")
-    if lin is not None and db is not None:
-        raise ConfigError(f"config field {name!r}: give linear or _db form, not both")
-    if lin is not None:
-        return float(lin)
-    if db is not None:
-        return db_to_linear(float(db))
-    raise ConfigError(f"config field {name!r} is required (linear or _db)")
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field {key!r} = {value!r}: {exc}") from exc
 
 
 def parse_spec(
@@ -189,16 +180,14 @@ def parse_spec(
         if unknown:
             raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
         for gain in ("gamma_bar_B", "gamma_bar_M"):
-            if gain in raw or f"{gain}_db" in raw:
-                merged[gain] = _pick_gain(raw, gain)
+            if gain in raw and f"{gain}_db" in raw:
+                raise ConfigError(f"config field {gain!r}: give linear or _db form, not both")
         for key, value in raw.items():
-            if key in ("gamma_bar_B", "gamma_bar_B_db", "gamma_bar_M", "gamma_bar_M_db"):
-                continue
             converted = _convert(key, value)
             if key == "L":
                 merged["L_values"] = converted
             else:
-                merged[key] = converted
+                merged[key.removesuffix("_db")] = converted
     if not merged:
         raise ConfigError("no configuration given: need --config and/or --preset")
     if seed is not None:

@@ -14,9 +14,11 @@ of a `SystemConfig` from incomplete-gamma expressions:
 
 where P^{-1} inverts the regularized lower incomplete gamma in x
 (`scipy.special.gammaincinv`), Q is the regularized upper one (`gammaincc`),
-and Gamma(a, x) = (a-1)! Q(a, x) for a >= 1. For L = 1 the target-SNR
-denominator is Gamma(0, x) = E1(x) (`exp1`), finite since eps_B > 0 makes
-the threshold strictly positive. `SystemConfig` checks the inputs.
+and Gamma(a, x) = (a-1)! Q(a, x) for a >= 1, so for L >= 2 the target SNR is
+gamma_bar_B * (L-1) / Q(L-1, x), with no factorial to overflow a float at
+large L. For L = 1 the target-SNR denominator is Gamma(0, x) = E1(x)
+(`exp1`), finite since eps_B > 0 makes the threshold strictly positive.
+`SystemConfig` checks the inputs.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ def operating_point(cfg: SystemConfig) -> EmbbOperatingPoint:
     L, gamma_bar_B = cfg.L, cfg.gamma_bar_B
     gamma_min = gamma_bar_B * float(gammaincinv(L, cfg.eps_B))
     x = gamma_min / gamma_bar_B
-    # Gamma(L-1, x): E1 at L = 1, else (L-2)! Q(L-1, x)
-    denom = float(exp1(x)) if L == 1 else math.factorial(L - 2) * float(gammaincc(L - 1, x))
-    gamma_tar = gamma_bar_B * math.factorial(L - 1) / denom
+    # (L-1)! / Gamma(L-1, x): 1 / E1(x) at L = 1, else (L-1) / Q(L-1, x)
+    gamma_tar = (gamma_bar_B / float(exp1(x)) if L == 1
+                 else gamma_bar_B * (L - 1) / float(gammaincc(L - 1, x)))
     return EmbbOperatingPoint(
         gamma_min=gamma_min,
         gamma_tar=gamma_tar,

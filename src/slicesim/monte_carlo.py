@@ -40,7 +40,10 @@ which the broadband attempt succeeds after each number of decoded devices.
 The first depends only on the MTC rate and the second only on the
 broadband rate, so a search builds each once per rate and
 `TrialTable.threshold_counts` answers each probed gamma with one
-comparison pass.
+comparison pass. The MTC thresholds come paired with the orthogonal
+decoded count at the same rate, which a trial reaches once its broadband
+attempt succeeds, so a count never sees thresholds and decoded counts of
+two different rates.
 """
 
 from __future__ import annotations
@@ -117,27 +120,28 @@ class TrialTable:
         stop-on-failure decoding."""
         return self.cfg.M * self.cfg.trials - int(self.orth_decoded(r_M).sum())
 
-    def mmtc_thresholds(self, r_M: float) -> np.ndarray:
-        """(T, M): per trial and SIC position j, the largest target SNR at
-        which devices 0..j all decode with the broadband signal pending at
-        MTC rate r_M. At target SNR gamma the devices decoded before the
-        broadband attempt are the entries at or above gamma.
+    def mmtc_thresholds(self, r_M: float):
+        """(U, orth_decoded) at MTC rate r_M. U (T, M) holds, per trial and
+        SIC position j, the largest target SNR at which devices 0..j all
+        decode with the broadband signal pending: at target SNR gamma the
+        devices decoded before the broadband attempt are the entries at or
+        above gamma. orth_decoded is `orth_decoded(r_M)`, the devices a trial
+        decodes once its broadband attempt succeeds.
 
         Device j's SINR with the broadband signal pending, P_M c^2 /
         (gamma b / d + interf + c), reaches thr_M = 2^r_M - 1 iff gamma <=
-        u_j = d (P_M c^2 / thr_M - interf - c) / b; the result is the running
+        u_j = d (P_M c^2 / thr_M - interf - c) / b; U is the running
         minimum of u along the SIC order. Every device decodes at thr_M = 0,
         and one the broadband signal does not reach (b = 0) decodes at every
         target SNR or at none: u is +inf or -inf there.
         """
+        # counted before U's temporaries exist, so its comparison pass does
+        # not add to their peak
+        orth_decoded = self.orth_decoded(r_M)
         cfg = self.cfg
-        if cfg.M < 1:
-            raise ValueError("joint outage needs at least one MTC device (M >= 1)")
-        if not r_M >= 0:
-            raise ValueError(f"r_M must be nonnegative, got {r_M}")
         thr_M = 2.0**r_M - 1.0
         if thr_M == 0.0:
-            return np.full((cfg.trials, cfg.M), np.inf, order="F")
+            return np.full((cfg.trials, cfg.M), np.inf, order="F"), orth_decoded
         U = np.multiply(cfg.P_M, self.c, order="F")
         U *= self.c
         U /= thr_M
@@ -149,7 +153,7 @@ class TrialTable:
         U[unreached] = np.where(U[unreached] >= 0.0, np.inf, -np.inf)
         for m in range(1, cfg.M):
             np.minimum(U[:, m - 1], U[:, m], out=U[:, m])
-        return U
+        return U, orth_decoded
 
     def embb_thresholds(self, r_B: float) -> np.ndarray:
         """(T, M + 1): per trial, the least target SNR at which the broadband
@@ -176,12 +180,13 @@ class TrialTable:
         V[:, cfg.M] = thr_B
         return V
 
-    def threshold_counts(self, U, V, orth_decoded, gamma_tar: float):
+    def threshold_counts(self, mtc, V, gamma_tar: float):
         """(mMTC device-slot failures out of M * trials, broadband decode
-        failures out of trials) at target SNR gamma_tar, from U =
-        `mmtc_thresholds(r_M)`, V = `embb_thresholds(r_B)` and orth_decoded =
-        `orth_decoded(r_M)`: one comparison pass per target SNR."""
+        failures out of trials) at target SNR gamma_tar, from mtc =
+        `mmtc_thresholds(r_M)` and V = `embb_thresholds(r_B)`: one comparison
+        pass per target SNR."""
         T, M = self.cfg.trials, self.cfg.M
+        U, orth_decoded = mtc
         # U is nonincreasing along each trial, so the count of entries at or
         # above gamma_tar is k, the devices decoded before the broadband attempt
         k = (U >= gamma_tar).sum(axis=1, dtype=np.int32)
@@ -203,8 +208,7 @@ class TrialTable:
         if not gamma_tar > thr_B:
             raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
         return self.threshold_counts(
-            self.mmtc_thresholds(r_M), self.embb_thresholds(r_B), self.orth_decoded(r_M),
-            gamma_tar,
+            self.mmtc_thresholds(r_M), self.embb_thresholds(r_B), gamma_tar
         )
 
 

@@ -34,13 +34,16 @@ error count checked against eps_M, and the search returns that count
 with the rate.
 
 A count compares per-trial target-SNR thresholds (`monte_carlo`): the
-broadband ones depend only on r_B and the MTC ones only on the MTC rate.
-The rate search builds the broadband thresholds once per r_B point and
-the MTC thresholds once per rate probe, and counts each probed target SNR
-with one comparison pass against them. The device-count search, whose
-points share r_M, builds the MTC thresholds once per table it probes and
-the broadband ones once per point on it. Whatever owns a rate builds its
-thresholds and hands them to the target-SNR search.
+broadband ones depend only on r_B and the MTC ones, which carry the
+orthogonal decoded count at the same rate, only on the MTC rate. The rate
+search builds the broadband thresholds once per r_B point and the MTC
+thresholds once per rate probe, and counts each probed target SNR with one
+comparison pass against them. Rate 0 is not probed: there every device
+decodes before the broadband signal, which then decodes interference-free,
+so the lower end of the target-SNR bracket is accepted with no error. The
+device-count search, whose points share r_M, builds the MTC thresholds once
+per table it probes and the broadband ones once per point on it. Whatever
+owns a rate builds its thresholds and hands them to the target-SNR search.
 
 The searches return plain values, as tuples of rates, target SNRs and
 error counts, which the caller formats.
@@ -82,6 +85,7 @@ RATE_CAP = 64.0  # bits/s/Hz, the largest MTC rate `max_mmtc_rate_orth` returns
 M_CAP = 4096  # largest device count `max_devices` probes
 
 Counts = Tuple[int, int]  # `TrialTable.nonorth_error_counts`: (MTC, broadband)
+MtcThresholds = Tuple[np.ndarray, np.ndarray]  # `TrialTable.mmtc_thresholds`: (U, orth_decoded)
 
 
 def max_mmtc_rate_orth(table: TrialTable) -> float:
@@ -159,7 +163,8 @@ def min_feasible_gamma_tar(
     given rate pair; None if neither end of the admissible interval does.
 
     Searches `table`, or, when none is given, a one-worker table built for
-    cfg. Returns the lower end when it is feasible. Otherwise the upper end
+    cfg. Returns the lower end when it is feasible, as it is at r_M = 0,
+    which the rate search therefore does not probe. Otherwise the upper end
     must be, and the interval is bisected geometrically to GAMMA_REL_TOL;
     the feasible end of the final bracket is returned.
     """
@@ -171,23 +176,21 @@ def min_feasible_gamma_tar(
     if table is None:
         table = build_trial_table(cfg)
     found = _gamma_search(table, bracket, table.embb_thresholds(r_B),
-                          table.mmtc_thresholds(r_M), table.orth_decoded(r_M))
+                          table.mmtc_thresholds(r_M))
     return None if found is None else found[0]
 
 
 def _gamma_search(
-    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, U: np.ndarray,
-    orth_decoded: np.ndarray,
+    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, mtc: MtcThresholds,
 ) -> Optional[Tuple[float, Counts]]:
     """The search of `min_feasible_gamma_tar` on a nonempty admissible
-    interval, with V the table's `embb_thresholds` at its r_B, and U and
-    orth_decoded its `mmtc_thresholds` and `orth_decoded` at its r_M:
-    (target SNR, the `nonorth_error_counts` at it), or None. Every probed
-    target SNR is one `threshold_counts` pass."""
+    interval, with V the table's `embb_thresholds` at its r_B and mtc its
+    `mmtc_thresholds` at its r_M: (target SNR, the `nonorth_error_counts` at
+    it), or None. Every probed target SNR is one `threshold_counts` pass."""
     cfg = table.cfg
 
     def counts(g: float) -> Counts:
-        return table.threshold_counts(U, V, orth_decoded, g)
+        return table.threshold_counts(mtc, V, g)
 
     def embb_ok(errors: Counts) -> bool:
         return errors[1] / cfg.trials <= cfg.eps_B
@@ -210,14 +213,13 @@ def _gamma_search(
 
 
 def _accepted(
-    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, U: np.ndarray,
-    orth_decoded: np.ndarray,
+    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, mtc: MtcThresholds,
 ) -> Optional[Tuple[float, Counts]]:
     """(target SNR, its counts) accepted on the table: the target SNR that
     `_gamma_search` finds within eps_B on the nonempty admissible interval
     `bracket`, with the thresholds of its rates, when the MTC outage of the
     same count meets eps_M; None when the rate pair is infeasible."""
-    found = _gamma_search(table, bracket, V, U, orth_decoded)
+    found = _gamma_search(table, bracket, V, mtc)
     if found is None:
         return None
     cfg = table.cfg
@@ -250,16 +252,15 @@ def max_mmtc_rate_nonorth(
     if bracket is None:
         return 0.0, op.gamma_tar, None
     V = table.embb_thresholds(r_B)
-    # rate 0 is always feasible: every device decodes with the broadband
-    # signal pending, which is then decoded interference-free. A probe's MTC
-    # thresholds are call arguments, freed when the probe returns
-    lo, best = 0.0, _accepted(table, bracket, V, table.mmtc_thresholds(0.0),
-                              table.orth_decoded(0.0))
+    # rate 0 needs no probe: every device decodes with the broadband signal
+    # pending, which is then decoded interference-free, so the bracket's lower
+    # end meets both targets with no error. A probe's MTC thresholds are call
+    # arguments, freed when the probe returns
+    lo, best = 0.0, (bracket[0], (0, 0))
     hi = r_M_out + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        found = _accepted(table, bracket, V, table.mmtc_thresholds(mid),
-                          table.orth_decoded(mid))
+        found = _accepted(table, bracket, V, table.mmtc_thresholds(mid))
         if found is None:
             hi = mid
         else:
@@ -353,8 +354,8 @@ def max_devices(
                 ok = table.mmtc_orth_error_count(r_M_i) / (m * cfg.trials) <= cfg.eps_M
             else:
                 if mtc is None:
-                    mtc = table.mmtc_thresholds(r_M), table.orth_decoded(r_M)
-                ok = _accepted(table, gammas, table.embb_thresholds(r_B), *mtc) is not None
+                    mtc = table.mmtc_thresholds(r_M)
+                ok = _accepted(table, gammas, table.embb_thresholds(r_B), mtc) is not None
             brackets[i][0 if ok else 1] = m
         del table, mtc  # before the next build: one table and its thresholds alive
     result = [0] * len(points)

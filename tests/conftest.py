@@ -37,7 +37,7 @@ def count_events(monkeypatch):
     r_M) per `TrialTable.mmtc_thresholds` and ("count", L, r_M, r_B,
     gamma_tar) per `TrialTable.threshold_counts`."""
     events = []
-    rate_of = {}  # id of a threshold array -> (the array, kept alive; its rate)
+    rate_of = {}  # id of a threshold build -> (the build, kept alive; its rate)
 
     def recording(kind, build):
         def wrapped(self, rate):
@@ -47,9 +47,9 @@ def count_events(monkeypatch):
             return found
         return wrapped
 
-    def counting(self, U, V, orth_decoded, gamma_tar, _count=TrialTable.threshold_counts):
-        events.append(("count", self.cfg.L, rate_of[id(U)][1], rate_of[id(V)][1], gamma_tar))
-        return _count(self, U, V, orth_decoded, gamma_tar)
+    def counting(self, mtc, V, gamma_tar, _count=TrialTable.threshold_counts):
+        events.append(("count", self.cfg.L, rate_of[id(mtc)][1], rate_of[id(V)][1], gamma_tar))
+        return _count(self, mtc, V, gamma_tar)
 
     monkeypatch.setattr(TrialTable, "embb_thresholds",
                         recording("V", TrialTable.embb_thresholds))

@@ -278,6 +278,8 @@ class TestRunRegion:
         assert_thresholds_built_once(count_events)
         # every r_B point but the last, whose target-SNR interval is empty
         assert len([event for event in count_events if event[0] == "V"]) == 2 * 10
+        # rate 0 is accepted without a probe: no MTC thresholds are built there
+        assert all(event[2] > 0 for event in count_events if event[0] == "U")
 
     def test_small_sweep_bytes_are_pinned(self, tmp_path):
         # both modes of a fig3 sweep at L = 1, 8 on 2000 trials of seed 1
@@ -553,6 +555,25 @@ class TestMainExitCodes:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err and "finite" in err
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("gamma_bar_B_db = 20", "gamma_bar_B = abc", "gamma_bar_B"),
+            ("gamma_bar_M_db = 5", "gamma_bar_M_db = x", "gamma_bar_M_db"),
+            # 10^400 overflows a double
+            ("gamma_bar_B_db = 20", "gamma_bar_B_db = 4000", "gamma_bar_B_db"),
+        ],
+        ids=["linear-abc", "db-x", "db-4000"],
+    )
+    def test_malformed_gain_is_2_before_any_build(self, tmp_path, capsys, builds,
+                                                  old, new, field):
+        cfg = tmp_path / "gain.cfg"
+        cfg.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["region", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
         assert builds == []
 
     @pytest.mark.parametrize(

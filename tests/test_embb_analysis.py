@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from slicesim.channel import SystemConfig
 from slicesim.embb_analysis import operating_point
@@ -94,14 +95,16 @@ class TestTargetSnr:
             assert ops[0].gamma_min > ops[1].gamma_min > ops[2].gamma_min
             assert ops[0].gamma_tar >= ops[1].gamma_tar >= ops[2].gamma_tar
 
-    @pytest.mark.parametrize("L", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 172, 200])
     def test_unit_average_power_quadrature(self, L):
         # E[gamma_tar / g; g >= gamma_min] = 1 for g ~ Gamma(L, GAMMA_B),
-        # written in t = g / GAMMA_B
+        # written in t = g / GAMMA_B; in log space, since (L-1)! overflows a
+        # float from L = 172 on
         op = op_at(L)
 
         def power(t):
-            return op.gamma_tar / (GAMMA_B * t) * t ** (L - 1) * math.exp(-t) / math.factorial(L - 1)
+            return math.exp(math.log(op.gamma_tar / GAMMA_B) + (L - 2) * math.log(t) - t
+                            - gammaln(L))
 
         mean, _ = quad(power, op.gamma_min / GAMMA_B, np.inf, epsabs=1e-13, epsrel=1e-12)
         assert mean == pytest.approx(1.0, rel=1e-10)

@@ -164,10 +164,11 @@ class TestNonorthPass:
             rates = [0.0, accepted, 20.0, *rng.uniform(0.0, 2.5, 4)]
             V = table.embb_thresholds(r_B)
             for r_M in rates:
-                U, orth_decoded = table.mmtc_thresholds(r_M), table.orth_decoded(r_M)
+                mtc = table.mmtc_thresholds(r_M)
+                assert mtc[1].tolist() == table.orth_decoded(r_M).tolist()
                 for gamma in (lo, float(np.sqrt(lo * hi)), hi):
                     want = replay_counts(table, r_M, r_B, gamma)
-                    found = table.threshold_counts(U, V, orth_decoded, gamma)
+                    found = table.threshold_counts(mtc, V, gamma)
                     assert found == want, (r_B, gamma, r_M)
                     assert table.nonorth_error_counts(r_M, r_B, gamma) == want
 
@@ -251,9 +252,10 @@ class TestBoundaryInclusive:
             assert (table.c[0, m], table.b[0, m]) == (G[:, m] @ G[:, m], (G[:, m] @ g_B) ** 2)
         assert (table.interf[0, 0], table.d[0]) == ((G[:, 0] @ G[:, 1]) ** 2, g_B @ g_B)
         with np.errstate(all="raise"):
-            U = table.mmtc_thresholds(1.0)
+            U, orth_decoded = table.mmtc_thresholds(1.0)
             assert U[0, 0] == np.inf and U[0, 1] < 1.125 < table.embb_thresholds(1.0)[0, 1]
-            assert table.mmtc_thresholds(0.0).tolist() == [[np.inf, np.inf]]
+            assert orth_decoded.tolist() == [1]
+            assert table.mmtc_thresholds(0.0)[0].tolist() == [[np.inf, np.inf]]
             assert table.nonorth_error_counts(1.0, 1.0, 1.125) == (1, 1)
         out = decode_non_orthogonal(G, g_B, 1.0, 1.125, 1.0, 1.0)
         assert out.mtc_decoded.tolist() == [True, False] and not out.embb_decoded

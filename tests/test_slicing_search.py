@@ -15,6 +15,8 @@ from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 from slicesim.slicing_search import (
     RATE_CAP,
     RATE_TOL,
+    _accepted,
+    _gamma_bracket,
     max_devices,
     max_mmtc_rate_nonorth,
     max_mmtc_rate_orth,
@@ -168,6 +170,22 @@ class TestMaxMmtcRateNonorth:
         assert r_non == pytest.approx(r_orth, abs=0.02)
         op = operating_point(cfg)
         assert gamma == pytest.approx(op.gamma_tar * 1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("M", [1, 3, 10, 40])
+    @pytest.mark.parametrize("L", [1, 2, 8, 16])
+    def test_rate_zero_is_accepted_at_the_lower_end_without_errors(self, L, M):
+        # the search starts from this answer instead of probing rate 0: every
+        # device decodes with the broadband signal pending, which is then
+        # decoded interference-free at every admissible target SNR
+        for seed in (1, 2, 3):
+            cfg = make_cfg(L=L, M=M, trials=300, seed=seed)
+            table = build_trial_table(cfg)
+            op = operating_point(cfg)
+            for r_B in np.linspace(0.0, op.r_B_out, 7)[:-1]:
+                bracket = _gamma_bracket(op, r_B)
+                found = _accepted(table, bracket, table.embb_thresholds(r_B),
+                                  table.mmtc_thresholds(0.0))
+                assert found == (bracket[0], (0, 0)), (seed, r_B)
 
     def test_outage_rate_endpoint_degenerates(self):
         cfg = make_cfg()
