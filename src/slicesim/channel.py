@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, sample_complex_gaussian
+from .numerics import _Z_MAX, RngStream, sample_complex_gaussian
 
 __all__ = [
     "SystemConfig",
@@ -72,6 +72,20 @@ class SystemConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        # the largest statistics a trial table computes, every normal of the
+        # draw at its largest magnitude: a squared channel norm is at most
+        # L gamma_bar _Z_MAX^2, and an MTC interference or broadband coupling
+        # sum adds M products of two such norms, scaled by P_M
+        c_top = self.L * self.gamma_bar_M * _Z_MAX**2
+        d_top = self.L * self.gamma_bar_B * _Z_MAX**2
+        reach = self.P_M * max(self.M, 1)
+        for name, top in (("gamma_bar_M", reach * c_top * c_top + c_top),
+                          ("gamma_bar_B", reach * c_top * d_top + d_top)):
+            if not top < math.inf:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)} lets a trial-table statistic "
+                    f"overflow a double at L = {self.L}, M = {self.M}, P_M = {self.P_M}"
+                )
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,7 @@ from .channel import SystemConfig, db_to_linear
 from .embb_analysis import operating_point
 from .monte_carlo import build_trial_tables, wilson_half_width
 from .slicing_search import (
+    M_CAP,
     max_devices,
     max_mmtc_rate_orth,
     nonorthogonal_region,
@@ -206,6 +207,10 @@ def parse_spec(
     experiment = {k: merged.pop(k) for k in list(merged) if k in _EXPERIMENT_KEYS}
     try:  # every antenna count of a sweep, before any command runs
         scenarios = [SystemConfig(L=L, **merged) for L in L_values]
+        for cfg in scenarios:  # a gain that overflows a double raises
+            operating_point(cfg)
+            if command == "max-devices":  # M is a template: the search probes to M_CAP
+                replace(cfg, M=M_CAP)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentSpec(

@@ -18,7 +18,8 @@ and Gamma(a, x) = (a-1)! Q(a, x) for a >= 1, so for L >= 2 the target SNR is
 gamma_bar_B * (L-1) / Q(L-1, x), with no factorial to overflow a float at
 large L. For L = 1 the target-SNR denominator is Gamma(0, x) = E1(x)
 (`exp1`), finite since eps_B > 0 makes the threshold strictly positive.
-`SystemConfig` checks the inputs.
+`SystemConfig` checks the inputs, and a gamma_bar_B whose target SNR
+overflows a double raises ValueError.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ def operating_point(cfg: SystemConfig) -> EmbbOperatingPoint:
     # (L-1)! / Gamma(L-1, x): 1 / E1(x) at L = 1, else (L-1) / Q(L-1, x)
     gamma_tar = (gamma_bar_B / float(exp1(x)) if L == 1
                  else gamma_bar_B * (L - 1) / float(gammaincc(L - 1, x)))
+    if not gamma_tar < math.inf:
+        raise ValueError(
+            f"gamma_bar_B = {gamma_bar_B} makes the target SNR overflow a double "
+            f"at L = {L}, eps_B = {cfg.eps_B}"
+        )
     return EmbbOperatingPoint(
         gamma_min=gamma_min,
         gamma_tar=gamma_tar,

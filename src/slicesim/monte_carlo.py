@@ -231,15 +231,15 @@ def _count_bytes(T: int, M: int) -> int:
 
 
 # bytes: the most a chunk of trials holds at once, and the most a HeldDraw holds
-_CHUNK_BUDGET = 2**26
+_CHUNK_BUDGET = 2**24
 
 
 def _chunk_size(M: int, width: int) -> int:
-    # the most trials whose peak fits in the 64 MiB budget, at most 16384; a
-    # trial larger than that is a chunk of its own. Writing fresh pages costs
-    # about twice as much as rewriting touched ones (a 64 MiB fill: 17 ms
-    # against 8.7 ms on a 2-vCPU VM), so a smaller chunk is cheaper per byte
-    # as well
+    # the most trials whose peak fits in the 16 MiB budget, at most 16384; a
+    # trial larger than that is a chunk of its own. 64 MiB was slower: an
+    # M = 48, L = 8 chunk then held a 30 MiB complex Gram, and on a 2-vCPU
+    # VM (glibc 2.36) the benchmark's max-devices command spent 0.10 s of
+    # system time against 0.03 s at 16 MiB
     return max(1, min(16384, _CHUNK_BUDGET // _trial_bytes(M, width)))
 
 
@@ -250,8 +250,9 @@ class HeldDraw:
 
     A build wider than the held draw frees it and holds its own draw in its
     place; a build no wider reads it. The held rows are the first min(T,
-    64 MiB // (8 width)) trials at the width they were drawn at; a build
-    draws its trials beyond them as it would without a held draw.
+    _CHUNK_BUDGET // (8 width)) trials at the width they were drawn at, the
+    16 MiB of one chunk; a build draws its trials beyond them as it would
+    without a held draw.
     """
 
     def __init__(self, seed: int):
@@ -270,8 +271,11 @@ def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
     G = Zc[:, L:].reshape(n, M, L) * math.sqrt(cfg.gamma_bar_M / 2.0)
     c = np.einsum("tml,tml->tm", G, G.conj()).real
     order = np.argsort(-c, axis=1, kind="stable")
-    G = np.take_along_axis(G, order[:, :, None], axis=1)
-    c = np.take_along_axis(c, order, axis=1)
+    # a row gather copies each device's contiguous L-row, where
+    # take_along_axis would build a broadcast (n, M, L) index
+    rows = np.arange(n)[:, None]
+    G = G[rows, order]
+    c = c[rows, order]
     Gc = G.conj()  # shared by the Gram block and the coupling
     cross = G @ Gc.transpose(0, 2, 1)  # BLAS batched Gram block
     xb = np.einsum("tml,tl->tm", Gc, g_B)
@@ -299,11 +303,13 @@ def build_trial_tables(
 
     Each chunk of trials is drawn once, at the widest L, and every table is
     reduced from its column prefix of those normals, so each table equals
-    one built on its own. Per-trial keyed streams make the result
-    independent of chunking and of `workers`, which only bounds the thread
-    pool used across chunks. With `held`, the trials it holds are read from
-    its column prefix, or drawn into it when this build is wider than it
-    (see `HeldDraw`); no chunk spans both its trials and later ones.
+    one built on its own. A chunk is the most trials whose draw and
+    reduction fit in `_CHUNK_BUDGET`, 16 MiB (`_chunk_size`). Per-trial
+    keyed streams make the result independent of chunking and of `workers`,
+    which only bounds the thread pool used across chunks. With `held`, the
+    trials it holds are read from its column prefix, or drawn into it when
+    this build is wider than it (see `HeldDraw`); no chunk spans both its
+    trials and later ones.
 
     Every table of the sweep is alive at once; builds and searches never
     overlap. Raises MemoryError, before allocating, when the tables and the

@@ -21,6 +21,9 @@ __all__ = [
 
 # Guard against u == 0.0 from Generator.random(); ndtri(0) would be -inf.
 _TINY_U = 1e-300
+# The largest magnitude of a normal drawn here, |ndtri(_TINY_U)| = 37.05; a
+# uniform below 1 gives at most ndtri(1 - 2^-53) = 8.2.
+_Z_MAX = -float(ndtri(_TINY_U))
 
 _UINT64_MAX = 2**64 - 1
 

@@ -51,7 +51,7 @@ error counts, which the caller formats.
 The device-count search needs a table per probed device count. It answers
 all (r_B, mode) points of one antenna count together, so each count is
 built once and only one table is alive at a time. Beside it the search
-holds one draw, that of the widest count probed so far, capped at 64 MiB:
+holds one draw, that of the widest count probed so far, capped at 16 MiB:
 a device count's draw is a column prefix of a larger count's, so a build
 no wider than the held draw reads its held trials instead of drawing them,
 and only the doubling phase, which widens it, draws them anew.

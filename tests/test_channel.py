@@ -57,6 +57,10 @@ class TestSystemConfig:
             ("gamma_bar_M", math.inf),
             ("P_M", math.nan),
             ("P_M", math.inf),
+            # at L = 4 the MTC received powers square past a double, and the
+            # broadband one times the largest squared normal is past one
+            ("gamma_bar_M", 1e160),
+            ("gamma_bar_B", 1e308),
         ],
     )
     def test_rejects_bad_field(self, field, value):

@@ -495,12 +495,12 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("workers", ["1", "3"])
     @pytest.mark.parametrize("command", ["outage", "region"])
     def test_sweep_csv_is_its_single_antenna_runs(self, tmp_path, command, workers):
-        # M = 50 makes 649-trial chunks at the L = 16 width, so 1000 trials
-        # are two chunks, and the L = 1 and L = 8 tables read column prefixes
-        # of the L = 16 draw
-        assert 500 < slicesim.monte_carlo._chunk_size(50, 2 * 16 * 51) < 1000
+        # at M = 50 and the L = 16 width the trials are two chunks, the
+        # second one trial short, and the L = 1 and L = 8 tables read column
+        # prefixes of the L = 16 draw
+        trials = 2 * slicesim.monte_carlo._chunk_size(50, 2 * 16 * 51) - 1
         text = (
-            GOOD_CONFIG.replace("M = 3", "M = 50").replace("trials = 800", "trials = 1000")
+            GOOD_CONFIG.replace("M = 3", "M = 50").replace("trials = 800", f"trials = {trials}")
             + "mode = both\nr_M = 0.1\nr_B = 1.0\nalpha_points = 3\nr_b_points = 3\n"
         )
 
@@ -575,6 +575,49 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and field in err
         assert builds == []
+
+    @pytest.mark.parametrize(
+        "command, edits, field",
+        [
+            # at L = 2, MTC received powers of about 1e163 square past a double
+            ("outage", {"gamma_bar_M_db = 5": "gamma_bar_M = 1e160\nr_M = 0.5\nr_B = 1.0"},
+             "gamma_bar_M"),
+            ("region", {"gamma_bar_M_db = 5": "gamma_bar_M = 1e160"}, "gamma_bar_M"),
+            ("max-devices", {"gamma_bar_M_db = 5": "gamma_bar_M = 1e160"}, "gamma_bar_M"),
+            # at M = 3 the statistics fit, and at the search's M_CAP devices not
+            ("max-devices", {"gamma_bar_M_db = 5": "gamma_bar_M = 1e150"}, "gamma_bar_M"),
+            ("embb-analytic", {"gamma_bar_B_db = 20": "gamma_bar_B = 1e308"}, "gamma_bar_B"),
+            ("max-devices", {"gamma_bar_B_db = 20": "gamma_bar_B = 1e308"}, "gamma_bar_B"),
+            # the received powers fit, and with eps_B near 1 the target SNR,
+            # far in the tail, overflows
+            ("embb-analytic", {"gamma_bar_B_db = 20": "gamma_bar_B = 1e300",
+                               "eps_B = 1e-3": "eps_B = 0.999999999"}, "gamma_bar_B"),
+        ],
+        ids=["outage-M", "region-M", "max-devices-M", "max-devices-M_CAP", "embb-B",
+             "max-devices-B", "embb-target"],
+    )
+    def test_overflowing_gain_is_2_before_any_build(self, tmp_path, capsys, builds,
+                                                    command, edits, field):
+        text = GOOD_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "gain.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{field} = " in err and "overflow" in err
+        assert builds == []
+
+    def test_gain_within_the_bound_at_its_device_count_runs(self, tmp_path, capsys):
+        # the gain the device search rejects at M_CAP runs at the M = 3 it is
+        # given, with every outage estimate finite
+        cfg = tmp_path / "gain.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("gamma_bar_M_db = 5", "gamma_bar_M = 1e150")
+                       + "r_M = 0.5\nr_B = 1.0\n")
+        out = tmp_path / "o.csv"
+        assert main(["outage", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert rows and all(math.isfinite(float(r["eps_M_hat"])) for r in rows)
 
     @pytest.mark.parametrize(
         "command, rates, field",

@@ -1,6 +1,7 @@
 """Closed-form eMBB operating point."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,15 @@ class TestOutageRate:
 
 
 class TestOperatingPoint:
+    def test_overflowing_target_snr_is_rejected(self):
+        # near eps_B = 1 the threshold is far in the gamma tail, and the
+        # target SNR is gamma_bar_B e^x at L = 2: past a double at 1e300
+        cfg = SystemConfig(L=2, M=0, gamma_bar_B=1e300, gamma_bar_M=1.0,
+                           eps_B=1 - 1e-9, eps_M=0.1)
+        with pytest.raises(ValueError, match="gamma_bar_B = .* target SNR overflow"):
+            operating_point(cfg)
+        assert math.isfinite(operating_point(replace(cfg, gamma_bar_B=1e290)).gamma_tar)
+
     def test_chain_consistency(self):
         op = op_at(4)
         assert op.a_B == pytest.approx(0.999, abs=1e-9)

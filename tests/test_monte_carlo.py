@@ -21,6 +21,7 @@ from slicesim.monte_carlo import (
     build_trial_tables,
     wilson_half_width,
 )
+from slicesim.numerics import _Z_MAX
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 from slicesim.slicing_search import (
     _gamma_bracket,
@@ -42,6 +43,12 @@ def chunk_count(cfg, L_values):
     """Chunks of trials a build of cfg's tables at L_values draws, each as
     wide as the widest L."""
     return -(-cfg.trials // monte_carlo._chunk_size(cfg.M, 2 * max(L_values) * (cfg.M + 1)))
+
+
+def two_chunks(L, M):
+    """Trials that make two chunks at (L, M), the second one trial short of
+    a full chunk."""
+    return 2 * monte_carlo._chunk_size(M, 2 * L * (M + 1)) - 1
 
 
 class TestOutageEstimate:
@@ -80,10 +87,10 @@ class TestRouteEquivalence:
 
     @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 300)])
     def test_nonorthogonal_counts(self, L, M):
-        # M = 300 takes 28-trial chunks at L = 12: its 50 trials span two of
-        # them. r_M = 0 decodes every device first, so the broadband attempt
-        # comes last; M = 1 puts every other attempt at the last SIC position
-        cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 50)
+        # M = 300 at L = 12 takes two chunks of trials. r_M = 0 decodes
+        # every device first, so the broadband attempt comes last; M = 1 puts
+        # every other attempt at the last SIC position
+        cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else two_chunks(L, M))
         assert M < 100 or chunk_count(cfg, (L,)) == 2
         table = build_trial_table(cfg)
         reals = [draw_realization(cfg, t) for t in range(cfg.trials)]
@@ -152,7 +159,7 @@ class TestNonorthPass:
         # MTC thresholds answer the bracket's two ends and its geometric
         # middle at r_M = 0 (k == M), the r_M the search accepts there,
         # random rates and r_M = 20 (k == 0)
-        cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else 50)
+        cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else two_chunks(L, M))
         assert M < 100 or chunk_count(cfg, (L,)) == 2
         table = build_trial_table(cfg)
         op = operating_point(cfg)
@@ -360,16 +367,16 @@ class TestDeterminism:
             monte_carlo.build_trial_tables(cfg, (1, 2), workers=2)
 
     def test_memory_check_reserves_every_chunk_in_flight(self, monkeypatch):
-        # at L = 1 and M = 300 a chunk is 30 trials whose Grams dominate: 60
-        # trials are two chunks, and two workers hold both at once. The
-        # reservation before counted one Gram block (16 bytes per entry)
-        # beside every chunk's draw (16 bytes per column), however many chunks
-        # were in flight: the build fits under it and not under both chunks
-        T, M, width = 60, 300, 2 * 301
+        # at L = 1 and M = 300 a chunk's Grams dominate: two chunks of
+        # trials, and two workers hold both at once. The reservation before
+        # counted one Gram block (16 bytes per entry) beside every chunk's
+        # draw (16 bytes per column), however many chunks were in flight: the
+        # build fits under it and not under both chunks
+        M, width = 300, 2 * 301
         step = monte_carlo._chunk_size(M, width)
-        assert step == 30
+        T = 2 * step
         tables = T * (5 * M + 1) * 8
-        old_step = 2**26 // (16 * (width + M * M))
+        old_step = monte_carlo._CHUNK_BUDGET // (16 * (width + M * M))
         assert -(-T // old_step) == 2
         one_gram = tables + 2 * old_step * width * 16 + old_step * M * M * 16
         need = tables + 2 * step * monte_carlo._trial_bytes(M, width)
@@ -389,11 +396,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_sweep_equals_its_parts(self, workers):
-        # M = 64 makes 437-trial chunks at the L = 16 width: 1200 trials are
-        # two full chunks and a partial one, and every table of the sweep
-        # reads a column prefix of the L = 16 draw
-        cfg = make_cfg(M=64, trials=1200)
+        # at M = 64 and the L = 16 width, two full chunks and half of one,
+        # and every table of the sweep reads a column prefix of the L = 16 draw
         L_values = (1, 2, 4, 8, 16)
+        step = monte_carlo._chunk_size(64, 2 * 16 * 65)
+        cfg = make_cfg(M=64, trials=2 * step + step // 2)
         assert chunk_count(cfg, L_values) == 3
         sweep = monte_carlo.build_trial_tables(cfg, L_values, workers=workers)
         assert [t.cfg for t in sweep] == [replace(cfg, L=L) for L in L_values]
@@ -402,30 +409,33 @@ class TestDeterminism:
             for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
                 assert np.array_equal(getattr(table, name), getattr(alone, name))
 
+    @pytest.mark.parametrize("rule", [
+        # the Gram-only rule
+        lambda M, width: max(1, min(16384, 4_000_000 // max(M * M, 1))),
+        # the byte bound at a 64 MiB budget
+        lambda M, width: max(1, min(16384, 2**26 // monte_carlo._trial_bytes(M, width))),
+    ], ids=["gram-only", "64-mib"])
     @pytest.mark.parametrize("L_values,M,trials", [((1, 8, 16), 10, 20_000), ((8,), 64, 2000)])
-    def test_tables_do_not_depend_on_the_chunk_rule(self, monkeypatch, L_values, M, trials):
-        # the outage sweep is two chunks under the Gram-only rule and four
-        # under the byte bound; at (L = 8, M = 64) the rules make three and
-        # four chunks
+    def test_tables_do_not_depend_on_the_chunk_rule(self, monkeypatch, rule, L_values, M,
+                                                    trials):
+        # the outage sweep is 14 chunks under the byte bound, four at a
+        # 64 MiB budget and two under the Gram-only rule; at (L = 8, M = 64)
+        # the rules make 16, four and three chunks
         cfg = make_cfg(M=M, trials=trials)
         width = 2 * max(L_values) * (M + 1)
         new = build_trial_tables(cfg, L_values)
-
-        def gram_only(M, width):
-            return max(1, min(16384, 4_000_000 // max(M * M, 1)))
-
-        assert gram_only(M, width) != monte_carlo._chunk_size(M, width)
-        monkeypatch.setattr(monte_carlo, "_chunk_size", gram_only)
+        assert rule(M, width) != monte_carlo._chunk_size(M, width)
+        monkeypatch.setattr(monte_carlo, "_chunk_size", rule)
         old = build_trial_tables(cfg, L_values)
         for a, b in zip(new, old):
             for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("M", [0, 1, 10, 64, 300, 1000, 2047, 2048, 4096])
-    def test_chunk_is_the_most_trials_within_64_mb(self, M):
+    def test_chunk_is_the_most_trials_within_the_budget(self, M):
         # a trial's peak bytes, `_trial_bytes` (checked against measured
         # peaks in TestMemoryBounds); past the bound a chunk is one trial
-        bound = 64 * 2**20
+        bound = monte_carlo._CHUNK_BUDGET
         for L in (1, 2, 8, 16, 64, 256):
             width = 2 * L * (M + 1)
             step = monte_carlo._chunk_size(M, width)
@@ -740,6 +750,25 @@ class TestEmbbPowerEstimator:
         gains = build_trial_table(make_cfg(M=0, trials=1000)).d
         med = float(np.median(gains))
         assert int((gains < med).sum()) / len(gains) == pytest.approx(0.5, abs=0.05)
+
+
+class TestLargestGains:
+    def test_gains_at_the_bound_keep_every_statistic_finite(self):
+        # gains that put SystemConfig's two bounds at about 1e308, and a
+        # draw whose every normal is at the largest magnitude: all channels
+        # are equal, so the interference and coupling sums reach the bounds
+        L, M = 4, 10
+        top = _Z_MAX**2 * L
+        gain = math.sqrt(1e308 / M) / top
+        cfg = make_cfg(L=L, M=M, gamma_bar_B=gain, gamma_bar_M=gain, trials=3)
+        Z = np.full((3, 2 * L * (M + 1)), -_Z_MAX)
+        with np.errstate(all="raise"):
+            stats = monte_carlo._table_chunk(cfg, Z)
+        assert all(np.isfinite(s).all() for s in stats)
+        assert stats[1].max() == pytest.approx((M - 1) / M * 1e308, rel=1e-9)
+        for field in ("gamma_bar_B", "gamma_bar_M"):
+            with pytest.raises(ValueError, match=f"{field} = .* overflow"):
+                replace(cfg, **{field: 2 * gain})
 
 
 class TestCauchySchwarzGuard:
