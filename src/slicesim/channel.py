@@ -6,7 +6,9 @@ CN(0, gamma_bar_B); MTC channel matrix columns are CN(0, gamma_bar_M).
 Receiver noise power is normalized to one and is deliberately not a
 config field; transmit-power and path-loss differences are absorbed into
 the average gains. All gains are linear scale inside the package; dB
-conversion happens once, at config-parse time.
+conversion happens once, at config-parse time. Every service shares one
+decoding rule, `rate_threshold`: rate r decodes iff its SINR reaches
+2^r - 1.
 """
 
 from __future__ import annotations
@@ -24,11 +26,21 @@ __all__ = [
     "ChannelRealization",
     "draw_realization",
     "db_to_linear",
+    "rate_threshold",
 ]
 
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
+
+
+def rate_threshold(r: float) -> float:
+    """The least SINR at which rate r (bits/s/Hz) decodes, 2^r - 1; +inf
+    from r = 1024 on, where 2^r overflows a double and no SINR suffices.
+    Raises ValueError for a negative or NaN rate."""
+    if not r >= 0:
+        raise ValueError(f"rate must be nonnegative, got {r}")
+    return 2.0**r - 1.0 if r < 1024 else math.inf
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import SystemConfig, db_to_linear
+from .channel import SystemConfig, db_to_linear, rate_threshold
 from .embb_analysis import operating_point
 from .monte_carlo import build_trial_tables, wilson_half_width
 from .slicing_search import (
@@ -62,13 +62,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Parsed experiment: canonical scenario (linear gains) plus grid and
-    command controls. L_values carries a preset's antenna sweep; plain
-    configs have a single entry."""
+    command controls. L_values is the antenna sweep, whose first entry is
+    the scenario's L; a single L is a sweep of one."""
 
     scenario: SystemConfig
     command: str
+    L_values: Tuple[int, ...]
     mode: str = "both"
-    L_values: Tuple[int, ...] = ()
     alpha_points: int = 41
     r_b_points: int = 41
     r_M: Optional[float] = None
@@ -80,8 +80,6 @@ class ExperimentSpec:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.L_values:
-            object.__setattr__(self, "L_values", (self.scenario.L,))
         if self.alpha_points < 1:
             raise ConfigError(f"alpha_points must be >= 1, got {self.alpha_points}")
         if self.r_b_points < 1:
@@ -247,16 +245,11 @@ def _write_csv(header: Sequence[str], rows: List[Sequence], out: Optional[str]) 
     return text
 
 
-def _cfg_for(spec: ExperimentSpec, L: int) -> SystemConfig:
-    return replace(spec.scenario, L=L)
-
-
 def run_embb_analytic(spec: ExperimentSpec, out: Optional[str] = None) -> str:
     """Closed-form broadband operating point, one row per antenna count."""
     rows = []
     for L in spec.L_values:
-        cfg = _cfg_for(spec, L)
-        op = operating_point(cfg)
+        op = operating_point(replace(spec.scenario, L=L))
         rows.append((L, op.gamma_min, op.gamma_tar, op.a_B, op.r_B_out))
     return _write_csv(["L", "gamma_min", "gamma_tar", "a_B", "r_B_out"], rows, out)
 
@@ -284,20 +277,23 @@ def _outage_targets(spec: ExperimentSpec) -> List[Optional[float]]:
     nonorth = spec.mode in ("nonorth", "both")
     if nonorth and spec.r_B is None:
         raise ConfigError("config field 'r_B' is required for non-orthogonal outage")
+    thresholds = {}
     for name in ("r_M", "r_B"):
         value = getattr(spec, name)
-        if value is not None and value < 0:
-            raise ConfigError(f"config field {name!r} must be nonnegative, got {value}")
+        try:
+            thresholds[name] = None if value is None else rate_threshold(value)
+        except ValueError as exc:
+            raise ConfigError(f"config field {name!r}: {exc}") from exc
     if not nonorth:
         return [None] * len(spec.L_values)
+    thr_B = thresholds["r_B"]
     gammas = []
     for L in spec.L_values:
-        cfg = _cfg_for(spec, L)
-        op = operating_point(cfg)
+        op = operating_point(replace(spec.scenario, L=L))
         gamma = spec.gamma_tar if spec.gamma_tar is not None else op.gamma_tar
-        if not gamma > 2.0**spec.r_B - 1.0:
+        if not gamma > thr_B:
             raise ConfigError(
-                f"gamma_tar = {gamma} must exceed 2^r_B - 1 = {2.0**spec.r_B - 1.0} "
+                f"gamma_tar = {gamma} must exceed 2^r_B - 1 = {thr_B} "
                 f"at r_B = {spec.r_B} (L = {L})"
             )
         gammas.append(gamma)
@@ -374,7 +370,7 @@ def run_max_devices(spec: ExperimentSpec, out: Optional[str] = None, workers: in
     tokens = {"orthogonal": "orth", "non_orthogonal": "nonorth"}
     rows = []
     for L in spec.L_values:
-        cfg = _cfg_for(spec, L)
+        cfg = replace(spec.scenario, L=L)
         op = operating_point(cfg)
         grid = np.linspace(0.0, op.r_B_out, spec.r_b_points)
         points = [

@@ -56,7 +56,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import SystemConfig, rate_threshold
 from .numerics import _normals_from_uniforms, keyed_uniforms
 
 __all__ = [
@@ -111,9 +111,7 @@ class TrialTable:
         no-broadband SINR chain."""
         if self.cfg.M < 1:
             raise ValueError("mMTC outage needs at least one MTC device (M >= 1)")
-        if not r_M >= 0:
-            raise ValueError(f"r_M must be nonnegative, got {r_M}")
-        return (self.prefix_min >= 2.0**r_M - 1.0).sum(axis=1)
+        return (self.prefix_min >= rate_threshold(r_M)).sum(axis=1)
 
     def mmtc_orth_error_count(self, r_M: float) -> int:
         """Device-slot failures, out of M * trials, under orthogonal
@@ -139,7 +137,7 @@ class TrialTable:
         # not add to their peak
         orth_decoded = self.orth_decoded(r_M)
         cfg = self.cfg
-        thr_M = 2.0**r_M - 1.0
+        thr_M = rate_threshold(r_M)
         if thr_M == 0.0:
             return np.full((cfg.trials, cfg.M), np.inf, order="F"), orth_decoded
         U = np.multiply(cfg.P_M, self.c, order="F")
@@ -170,9 +168,7 @@ class TrialTable:
         cfg = self.cfg
         if cfg.M < 1:
             raise ValueError("joint outage needs at least one MTC device (M >= 1)")
-        if not r_B >= 0:
-            raise ValueError(f"r_B must be nonnegative, got {r_B}")
-        thr_B = 2.0**r_B - 1.0
+        thr_B = rate_threshold(r_B)
         V = np.empty((cfg.trials, cfg.M + 1), order="F")
         np.add(self.b_suffix, self.d[:, None], out=V[:, : cfg.M])
         V[:, : cfg.M] *= thr_B
@@ -204,7 +200,7 @@ class TrialTable:
         failures out of trials) under the interleaved procedure at (r_M, r_B,
         gamma_tar). Requires gamma_tar > 2^r_B - 1, otherwise even the
         interference-free broadband attempt could never succeed."""
-        thr_B = 2.0**r_B - 1.0
+        thr_B = rate_threshold(r_B)
         if not gamma_tar > thr_B:
             raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
         return self.threshold_counts(

@@ -16,16 +16,19 @@ is capped by the unit-average-power value of the orthogonal analysis.
 
 Every rate search takes the trial table it searches, which carries its
 configuration; the rate searches of one scenario share that table
-(common random numbers), and every search tests feasibility on exact
-error counts as `errors / n <= eps`. The orthogonal MTC endpoint is read
-exactly from the table: the largest rate whose outage meets eps_M
-follows from one order statistic of the running-minimum SINRs, with no
-tolerance, and so does whether the cap RATE_CAP is feasible. The caller
-computes it once per table and hands it to the non-orthogonal search as
-its rate ceiling. That search bisects the MTC rate to RATE_TOL up to the
-ceiling and the target SNR to GAMMA_REL_TOL, within a bracket fixed once
-per r_B; one predicate decides its feasibility and that of the
-device-count search. The broadband error count is not monotone in the
+(common random numbers). Each feasibility rule is spelled once: a rate r
+decodes iff its SINR reaches `channel.rate_threshold(r)`, 2^r - 1, and an
+exact error count out of n meets eps iff it is at most `_error_budget(n,
+eps)`, the largest count with `errors / n <= eps`. The orthogonal MTC
+target is read exactly from the table: a rate meets eps_M iff its
+threshold is at most one order statistic of the running-minimum SINRs
+(`_orth_threshold`), with no tolerance. That gives the orthogonal
+endpoint, and whether the cap RATE_CAP is feasible; the caller computes it
+once per table and hands it to the non-orthogonal search as its rate
+ceiling. That search bisects the MTC rate to RATE_TOL up to the ceiling
+and the target SNR to GAMMA_REL_TOL, within a bracket fixed once per r_B;
+one target-SNR search (`_gamma_search`) decides its feasibility and that
+of the device-count search. The broadband error count is not monotone in the
 target SNR (a strong broadband signal is decoded and removed early), so
 the target-SNR bisection returns the feasible end of a bracket around
 one infeasible-to-feasible crossing, which need not be the smallest
@@ -50,8 +53,10 @@ error counts, which the caller formats.
 
 The device-count search needs a table per probed device count. It answers
 all (r_B, mode) points of one antenna count together, so each count is
-built once and only one table is alive at a time. Beside it the search
-holds one draw, that of the widest count probed so far, capped at 16 MiB:
+built once and only one table is alive at a time; its orthogonal points
+all read the table's one order statistic. Beside it the search holds one
+draw, that of the widest count probed so far, capped at
+`monte_carlo._CHUNK_BUDGET` bytes:
 a device count's draw is a column prefix of a larger count's, so a build
 no wider than the held draw reads its held trials instead of drawing them,
 and only the doubling phase, which widens it, draws them anew.
@@ -65,7 +70,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import SystemConfig, rate_threshold
 from .embb_analysis import EmbbOperatingPoint, operating_point
 from .monte_carlo import HeldDraw, TrialTable, build_trial_table
 
@@ -88,31 +93,45 @@ Counts = Tuple[int, int]  # `TrialTable.nonorth_error_counts`: (MTC, broadband)
 MtcThresholds = Tuple[np.ndarray, np.ndarray]  # `TrialTable.mmtc_thresholds`: (U, orth_decoded)
 
 
-def max_mmtc_rate_orth(table: TrialTable) -> float:
-    """Largest common MTC rate meeting the eps_M outage target without
-    broadband interference, read exactly from the trial table.
+def _error_budget(n: int, eps: float) -> int:
+    """The largest error count e out of n with e / n <= eps: a count meets
+    the target eps iff it is at most this. e / n is nondecreasing in e, so
+    the counts that meet it are 0..e."""
+    errors = int(eps * n)
+    while (errors + 1) / n <= eps:
+        errors += 1
+    while errors / n > eps:
+        errors -= 1
+    return errors
+
+
+def _orth_threshold(table: TrialTable) -> float:
+    """The largest rate threshold the table's orthogonal outage meets eps_M
+    at: a rate r is feasible without broadband interference iff
+    `rate_threshold(r)` is at most this value.
 
     A device-slot decodes at rate r iff its running-minimum SINR
-    (`prefix_min`) reaches 2^r - 1. With K the fewest decoded device-slots
-    whose error fraction stays within eps_M, rate r is feasible iff
-    2^r - 1 is at most the K-th largest `prefix_min` entry. The result is
-    the largest double with that property: it is feasible and the next
-    double is not. Returns RATE_CAP, with a warning, when RATE_CAP is
-    feasible.
+    (`prefix_min`) reaches the threshold, so a threshold is met iff at most
+    e entries, the error budget of the M * trials device-slots, fall below
+    it: iff it is at most the (e + 1)-th smallest entry.
     """
-    cfg = table.cfg
-    if cfg.M < 1:
-        raise ValueError("mMTC rate search needs M >= 1")
-    n = cfg.M * cfg.trials
-    errors = int(cfg.eps_M * n)  # largest error count with errors / n <= eps_M
-    while (errors + 1) / n <= cfg.eps_M:
-        errors += 1
-    while errors / n > cfg.eps_M:
-        errors -= 1
-    k = n - errors  # >= 1, since eps_M < 1
     # order "K" reads the column-major table as it lies, without a copy
-    thr = float(np.partition(table.prefix_min.ravel(order="K"), n - k)[n - k])
-    if 2.0**RATE_CAP - 1.0 <= thr:
+    flat = table.prefix_min.ravel(order="K")
+    errors = _error_budget(flat.size, table.cfg.eps_M)  # < flat.size, since eps_M < 1
+    return float(np.partition(flat, errors)[errors])
+
+
+def max_mmtc_rate_orth(table: TrialTable) -> float:
+    """Largest common MTC rate meeting the eps_M outage target without
+    broadband interference, read exactly from the trial table's one order
+    statistic (`_orth_threshold`). The result is the largest double whose
+    threshold meets it: it is feasible and the next double is not. Returns
+    RATE_CAP, with a warning, when RATE_CAP is feasible.
+    """
+    if table.cfg.M < 1:
+        raise ValueError("mMTC rate search needs M >= 1")
+    thr = _orth_threshold(table)
+    if rate_threshold(RATE_CAP) <= thr:
         warnings.warn(
             f"mMTC rate search hit the cap {RATE_CAP} bits/s/Hz; "
             "the outage constraint appears non-binding"
@@ -121,7 +140,7 @@ def max_mmtc_rate_orth(table: TrialTable) -> float:
     # 0 is feasible and RATE_CAP is not; halve until the two are adjacent doubles
     lo, hi = 0.0, RATE_CAP
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if 2.0**mid - 1.0 <= thr:
+        if rate_threshold(mid) <= thr:
             lo = mid
         else:
             hi = mid
@@ -146,84 +165,66 @@ def orthogonal_region(
 def _gamma_bracket(op: EmbbOperatingPoint, r_B: float) -> Optional[Tuple[float, float]]:
     """Admissible target-SNR interval (open below at 2^r_B - 1, capped by the
     unit-average-power bound); None when it is empty."""
-    thr_B = 2.0**r_B - 1.0
+    thr_B = rate_threshold(r_B)
     hi = op.gamma_tar
     lo = thr_B + (hi - thr_B) * GAMMA_LO_FRACTION
     return (lo, hi) if lo > thr_B else None
 
 
-def min_feasible_gamma_tar(
-    cfg: SystemConfig,
-    r_B: float,
-    r_M: float,
-    *,
-    table: Optional[TrialTable] = None,
-) -> Optional[float]:
+def min_feasible_gamma_tar(cfg: SystemConfig, r_B: float, r_M: float) -> Optional[float]:
     """Small target SNR whose broadband error probability meets eps_B at the
-    given rate pair; None if neither end of the admissible interval does.
-
-    Searches `table`, or, when none is given, a one-worker table built for
-    cfg. Returns the lower end when it is feasible, as it is at r_M = 0,
-    which the rate search therefore does not probe. Otherwise the upper end
-    must be, and the interval is bisected geometrically to GAMMA_REL_TOL;
-    the feasible end of the final bracket is returned.
+    given rate pair, searched on a one-worker table built for cfg; None if
+    neither end of the admissible interval meets it. The search is
+    `_gamma_search` with no MTC budget: every MTC count passes.
     """
-    if not (r_B >= 0 and r_M >= 0):
-        raise ValueError(f"rates must be nonnegative, got r_B={r_B}, r_M={r_M}")
+    rate_threshold(r_M)  # a bad MTC rate raises before the build, as r_B does below
     bracket = _gamma_bracket(operating_point(cfg), r_B)
     if bracket is None:
         return None
-    if table is None:
-        table = build_trial_table(cfg)
+    table = build_trial_table(cfg)
     found = _gamma_search(table, bracket, table.embb_thresholds(r_B),
-                          table.mmtc_thresholds(r_M))
+                          table.mmtc_thresholds(r_M), cfg.M * cfg.trials)
     return None if found is None else found[0]
 
 
 def _gamma_search(
     table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, mtc: MtcThresholds,
+    mtc_budget: int,
 ) -> Optional[Tuple[float, Counts]]:
-    """The search of `min_feasible_gamma_tar` on a nonempty admissible
-    interval, with V the table's `embb_thresholds` at its r_B and mtc its
-    `mmtc_thresholds` at its r_M: (target SNR, the `nonorth_error_counts` at
-    it), or None. Every probed target SNR is one `threshold_counts` pass."""
+    """(target SNR, the `nonorth_error_counts` at it) accepted on the table,
+    or None when the rate pair is infeasible.
+
+    Searches the nonempty admissible interval `bracket` with V the table's
+    `embb_thresholds` at its r_B and mtc its `mmtc_thresholds` at its r_M.
+    The lower end is taken when its broadband errors meet eps_B, as they do
+    at r_M = 0, which the rate search therefore does not probe. Otherwise
+    the upper end must meet it, and the interval is bisected geometrically
+    to GAMMA_REL_TOL; the feasible end of the final bracket is taken. The
+    target SNR is accepted when the MTC errors of its count are at most
+    mtc_budget. Every probed target SNR is one `threshold_counts` pass.
+    """
     cfg = table.cfg
+    embb_budget = _error_budget(cfg.trials, cfg.eps_B)
 
     def counts(g: float) -> Counts:
         return table.threshold_counts(mtc, V, g)
 
-    def embb_ok(errors: Counts) -> bool:
-        return errors[1] / cfg.trials <= cfg.eps_B
-
     lo, hi = bracket
     at_lo = counts(lo)
-    if embb_ok(at_lo):
-        return lo, at_lo
-    at_hi = counts(hi)
-    if not embb_ok(at_hi):
-        return None
-    while hi / lo > 1.0 + GAMMA_REL_TOL:
-        mid = float(np.sqrt(lo * hi))
-        at_mid = counts(mid)
-        if embb_ok(at_mid):
-            hi, at_hi = mid, at_mid
-        else:
-            lo = mid
-    return hi, at_hi
-
-
-def _accepted(
-    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, mtc: MtcThresholds,
-) -> Optional[Tuple[float, Counts]]:
-    """(target SNR, its counts) accepted on the table: the target SNR that
-    `_gamma_search` finds within eps_B on the nonempty admissible interval
-    `bracket`, with the thresholds of its rates, when the MTC outage of the
-    same count meets eps_M; None when the rate pair is infeasible."""
-    found = _gamma_search(table, bracket, V, mtc)
-    if found is None:
-        return None
-    cfg = table.cfg
-    return found if found[1][0] / (cfg.M * cfg.trials) <= cfg.eps_M else None
+    if at_lo[1] <= embb_budget:
+        hi, at_hi = lo, at_lo
+    else:
+        at_hi = counts(hi)
+        if at_hi[1] > embb_budget:
+            return None
+        while hi / lo > 1.0 + GAMMA_REL_TOL:
+            mid = float(np.sqrt(lo * hi))
+            at_mid = counts(mid)
+            if at_mid[1] <= embb_budget:
+                hi, at_hi = mid, at_mid
+            else:
+                lo = mid
+    return (hi, at_hi) if at_hi[0] <= mtc_budget else None
 
 
 def max_mmtc_rate_nonorth(
@@ -252,6 +253,7 @@ def max_mmtc_rate_nonorth(
     if bracket is None:
         return 0.0, op.gamma_tar, None
     V = table.embb_thresholds(r_B)
+    budget = _error_budget(cfg.M * cfg.trials, cfg.eps_M)
     # rate 0 needs no probe: every device decodes with the broadband signal
     # pending, which is then decoded interference-free, so the bracket's lower
     # end meets both targets with no error. A probe's MTC thresholds are call
@@ -260,7 +262,7 @@ def max_mmtc_rate_nonorth(
     hi = r_M_out + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        found = _accepted(table, bracket, V, table.mmtc_thresholds(mid))
+        found = _gamma_search(table, bracket, V, table.mmtc_thresholds(mid), budget)
         if found is None:
             hi = mid
         else:
@@ -300,9 +302,10 @@ def max_devices(
     search.
 
     Orthogonal mode allocates the slot fraction implied by r_B and requires
-    the per-device rate r_M / (1 - alpha) during the MTC fraction; a
-    broadband rate at or past the outage rate leaves no time for MTC and
-    yields 0. Per point, doubling from M = 1 brackets the answer, then
+    the per-device rate r_M / (1 - alpha) during the MTC fraction, which a
+    count supports iff its threshold is at most the table's
+    `_orth_threshold` (never from 1024 bits/s/Hz on); a broadband rate at or
+    past the outage rate leaves no time for MTC and yields 0. Per point, doubling from M = 1 brackets the answer, then
     binary search, assuming feasibility is monotone in the device count.
     The points share their tables: each probed count gets one table, built
     with `workers` threads, on which every point probing that count is
@@ -347,15 +350,21 @@ def max_devices(
             break
         m = min(waiting)
         table = build_trial_table(replace(cfg, M=m), workers=workers, held=held)
-        mtc = None  # the MTC thresholds at r_M, shared by the non-orthogonal points
+        budget = _error_budget(m * cfg.trials, cfg.eps_M)
+        # the orthogonal order statistic and the MTC thresholds at r_M, each
+        # shared by the points of its mode
+        thr = mtc = None
         for i in waiting[m]:
             r_M_i, r_B, gammas = searches[i]
             if gammas is None:
-                ok = table.mmtc_orth_error_count(r_M_i) / (m * cfg.trials) <= cfg.eps_M
+                if thr is None:
+                    thr = _orth_threshold(table)
+                ok = rate_threshold(r_M_i) <= thr
             else:
                 if mtc is None:
                     mtc = table.mmtc_thresholds(r_M)
-                ok = _accepted(table, gammas, table.embb_thresholds(r_B), mtc) is not None
+                ok = _gamma_search(table, gammas, table.embb_thresholds(r_B), mtc,
+                                   budget) is not None
             brackets[i][0 if ok else 1] = m
         del table, mtc  # before the next build: one table and its thresholds alive
     result = [0] * len(points)

@@ -433,6 +433,18 @@ class TestRunMaxDevices:
                   for L, M in builds]
         assert max(chunks) >= 2
 
+    def test_orthogonal_rate_of_1024_or_more_gives_zero(self, tmp_path, capsys):
+        # near r_B_out the orthogonal rate r_M / (1 - alpha) reaches 1024,
+        # where 2^r - 1 overflows a double: 30 / (1 - 39 / 40) = 1200
+        cfg = tmp_path / "md.cfg"
+        cfg.write_text("L = 1\nr_M = 30\nr_b_points = 41\n")
+        out = tmp_path / "md.csv"
+        argv = ["max-devices", "--preset", "fig5", "--config", str(cfg), "--trials", "200",
+                "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        rows = rows_of(out.read_text())
+        assert len(rows) == 82 and all(row["M_max"] == "0" for row in rows)
+
     @pytest.mark.parametrize("r_M", ["0.0", "-0.25"])
     def test_nonpositive_rate_is_2(self, tmp_path, capsys, builds, r_M):
         cfg = tmp_path / "md.cfg"

@@ -7,16 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import assert_thresholds_built_once
+from hypothesis import given
+from hypothesis import strategies as st
 
-from slicesim.channel import SystemConfig
+from slicesim.channel import SystemConfig, rate_threshold
 from slicesim.embb_analysis import operating_point
 from slicesim.monte_carlo import build_trial_table
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 from slicesim.slicing_search import (
     RATE_CAP,
     RATE_TOL,
-    _accepted,
+    _error_budget,
     _gamma_bracket,
+    _gamma_search,
     max_devices,
     max_mmtc_rate_nonorth,
     max_mmtc_rate_orth,
@@ -50,9 +53,9 @@ G_M, G_B = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.0])
                  id="max_mmtc_rate_nonorth-r_M_out"),
     pytest.param(lambda t: max_mmtc_rate_nonorth(t, 0.5, -5.0),
                  id="max_mmtc_rate_nonorth-negative-r_M_out"),
-    pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, NAN, 0.3, table=t),
+    pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, NAN, 0.3),
                  id="min_feasible_gamma_tar-r_B"),
-    pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, 0.5, NAN, table=t),
+    pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, 0.5, NAN),
                  id="min_feasible_gamma_tar-r_M"),
     pytest.param(lambda t: max_devices(t.cfg, NAN, [(0.0, "orthogonal")]),
                  id="max_devices-r_M"),
@@ -60,6 +63,8 @@ G_M, G_B = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.0])
                  id="max_devices-orthogonal-r_B"),
     pytest.param(lambda t: max_devices(t.cfg, 0.25, [(NAN, "non_orthogonal")]),
                  id="max_devices-non_orthogonal-r_B"),
+    pytest.param(lambda t: rate_threshold(NAN), id="rate_threshold"),
+    pytest.param(lambda t: rate_threshold(-1.0), id="rate_threshold-negative"),
     pytest.param(lambda t: decode_orthogonal(G_M, 1.0, NAN), id="decode_orthogonal"),
     pytest.param(lambda t: decode_non_orthogonal(G_M, G_B, 1.0, 2.0, 0.5, NAN),
                  id="decode_non_orthogonal-r_B"),
@@ -69,6 +74,36 @@ def test_nan_rate_is_rejected(call):
     table = build_trial_table(make_cfg(trials=500))
     with pytest.raises(ValueError):
         call(table)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25, 1.0, 64.0, 1023.0, math.nextafter(1024.0, 0.0)])
+def test_rate_threshold_is_two_to_the_rate_minus_one(r):
+    assert rate_threshold(r) == 2.0**r - 1.0
+
+
+@pytest.mark.parametrize("r", [1024.0, 2000.0, math.inf])
+def test_rate_threshold_is_infinite_where_two_to_the_rate_overflows(r):
+    # no SINR decodes such a rate; 2.0**r overflows a double there
+    assert rate_threshold(r) == math.inf
+
+
+@given(n=st.integers(1, 10**9), eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_error_budget_is_the_largest_count_within_eps(n, eps):
+    e = _error_budget(n, eps)
+    assert 0 <= e < n
+    assert e / n <= eps < (e + 1) / n
+
+
+def test_min_feasible_gamma_tar_rejects_rates_before_any_build(monkeypatch):
+    import slicesim.slicing_search as search
+
+    def no_build(*args, **kw):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(search, "build_trial_table", no_build)
+    for r_B, r_M in ((-1.0, 0.3), (NAN, 0.3), (0.5, -1.0), (0.5, NAN)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_feasible_gamma_tar(make_cfg(), r_B, r_M)
 
 
 class TestMaxMmtcRateOrth:
@@ -136,17 +171,15 @@ class TestOrthogonalRegion:
 class TestMinFeasibleGammaTar:
     def test_zero_broadband_rate_returns_lower_bracket(self):
         cfg = make_cfg()
-        table = build_trial_table(cfg)
         op = operating_point(cfg)
-        g = min_feasible_gamma_tar(cfg, 0.0, 0.5, table=table)
+        g = min_feasible_gamma_tar(cfg, 0.0, 0.5)
         assert g is not None and g == pytest.approx(op.gamma_tar * 1e-9, rel=1e-6)
 
     def test_respects_average_power_cap(self):
         cfg = make_cfg(L=4, M=4)
-        table = build_trial_table(cfg)
         op = operating_point(cfg)
         for r_B in (0.0, 0.3 * op.r_B_out, 0.9 * op.r_B_out):
-            g = min_feasible_gamma_tar(cfg, r_B, 0.3, table=table)
+            g = min_feasible_gamma_tar(cfg, r_B, 0.3)
             if g is not None:
                 assert g <= op.gamma_tar * (1 + 1e-9)
                 assert g > 2.0**r_B - 1.0
@@ -156,7 +189,7 @@ class TestMinFeasibleGammaTar:
         table = build_trial_table(cfg)
         op = operating_point(cfg)
         r_B = 0.3 * op.r_B_out
-        g = min_feasible_gamma_tar(cfg, r_B, 0.3, table=table)
+        g = min_feasible_gamma_tar(cfg, r_B, 0.3)
         assert g is not None
         assert table.nonorth_error_counts(0.3, r_B, g)[1] / cfg.trials <= cfg.eps_B
 
@@ -183,8 +216,9 @@ class TestMaxMmtcRateNonorth:
             op = operating_point(cfg)
             for r_B in np.linspace(0.0, op.r_B_out, 7)[:-1]:
                 bracket = _gamma_bracket(op, r_B)
-                found = _accepted(table, bracket, table.embb_thresholds(r_B),
-                                  table.mmtc_thresholds(0.0))
+                found = _gamma_search(table, bracket, table.embb_thresholds(r_B),
+                                      table.mmtc_thresholds(0.0),
+                                      _error_budget(M * cfg.trials, cfg.eps_M))
                 assert found == (bracket[0], (0, 0)), (seed, r_B)
 
     def test_outage_rate_endpoint_degenerates(self):
@@ -204,7 +238,7 @@ class TestMaxMmtcRateNonorth:
             r_B = op.r_B_out * (1.0 - rel)
             got = max_mmtc_rate_nonorth(table, r_B, max_mmtc_rate_orth(table))
             assert got == (0.0, op.gamma_tar, None)
-            assert min_feasible_gamma_tar(cfg, r_B, 0.25, table=table) is None
+            assert min_feasible_gamma_tar(cfg, r_B, 0.25) is None
             assert max_devices(cfg, 0.25, [(r_B, "non_orthogonal")]) == [0]
 
     def test_rejects_rate_beyond_outage_rate(self):
@@ -247,15 +281,26 @@ class TestMaxMmtcRateNonorth:
             assert len([event for event in count_events if event[0] == "U"]) > 1, r_B
 
 
+def gamma_on(table, r_B, r_M):
+    """`min_feasible_gamma_tar` on a table already built: the target-SNR
+    search with no MTC budget."""
+    bracket = _gamma_bracket(operating_point(table.cfg), r_B)
+    if bracket is None:
+        return None
+    found = _gamma_search(table, bracket, table.embb_thresholds(r_B),
+                          table.mmtc_thresholds(r_M), table.cfg.M * table.cfg.trials)
+    return None if found is None else found[0]
+
+
 def two_pass_max_rate(cfg, r_B, table):
     """The non-orthogonal rate search as it ran before the accepted target
     SNR kept its counts: every probe counts again at the accepted SNR."""
     n = cfg.M * cfg.trials
-    lo, best_g = 0.0, min_feasible_gamma_tar(cfg, r_B, 0.0, table=table)
+    lo, best_g = 0.0, gamma_on(table, r_B, 0.0)
     hi = max_mmtc_rate_orth(table) + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        g = min_feasible_gamma_tar(cfg, r_B, mid, table=table)
+        g = gamma_on(table, r_B, mid)
         if g is not None and table.nonorth_error_counts(mid, r_B, g)[0] / n <= cfg.eps_M:
             lo, best_g = mid, g
         else:
@@ -344,6 +389,12 @@ class TestMaxDevices:
         # demand an absurd per-device rate so even M = 1 fails
         cfg = make_cfg(trials=2000)
         assert max_devices(cfg, 40.0, [(0.0, "orthogonal")]) == [0]
+
+    def test_orthogonal_rate_of_1024_or_more_gives_zero(self):
+        # r_M / (1 - alpha) = 30 / 0.025 = 1200, where 2^r - 1 overflows a double
+        cfg = make_cfg(trials=500)
+        r_B = 0.975 * operating_point(cfg).r_B_out
+        assert max_devices(cfg, 30.0, [(r_B, "orthogonal")]) == [0]
 
     def test_nonorthogonal_small_case_positive(self):
         cfg = make_cfg(L=4, trials=6000)
@@ -498,7 +549,7 @@ def per_point_max_devices(cfg, r_M, r_B, mode):
         table = build_trial_table(replace(cfg, M=m))
         n = m * cfg.trials
         if mode == "non_orthogonal":
-            g = min_feasible_gamma_tar(table.cfg, r_B, r_M, table=table)
+            g = gamma_on(table, r_B, r_M)
             return g is not None and table.nonorth_error_counts(r_M, r_B, g)[0] / n <= cfg.eps_M
         return table.mmtc_orth_error_count(required) / n <= cfg.eps_M
 
