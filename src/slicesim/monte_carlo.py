@@ -23,8 +23,10 @@ prefix of the draw of any larger device count, and a `HeldDraw` keeps one
 draw across builds so that narrower builds reduce from its prefix.
 
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
-are the evaluation API: they return error counts, whose estimate is
-errors / n with `wilson_half_width` for its 95% interval. With M = 0 the
+count the errors of one operating point, as the CLI's rows report them;
+the estimate is errors / n with `wilson_half_width` for its 95% interval.
+The searches read the threshold methods below instead, and the orthogonal
+endpoint reads the running-minimum SINRs `prefix_min`. With M = 0 the
 table holds only the broadband received powers `d`, which is all the
 truncated-inversion analysis needs. The per-realization decoders in
 `sic_decoder` are the reference; the test suite checks exact,
@@ -227,11 +229,11 @@ def _count_bytes(T: int, M: int) -> int:
 
 
 # bytes: the most a chunk of trials holds at once, and the most a HeldDraw holds
-_CHUNK_BUDGET = 2**24
+_CHUNK_BUDGET = 2**24  # 16 MiB
 
 
 def _chunk_size(M: int, width: int) -> int:
-    # the most trials whose peak fits in the 16 MiB budget, at most 16384; a
+    # the most trials whose peak fits in _CHUNK_BUDGET, at most 16384; a
     # trial larger than that is a chunk of its own. 64 MiB was slower: an
     # M = 48, L = 8 chunk then held a 30 MiB complex Gram, and on a 2-vCPU
     # VM (glibc 2.36) the benchmark's max-devices command spent 0.10 s of
@@ -246,9 +248,9 @@ class HeldDraw:
 
     A build wider than the held draw frees it and holds its own draw in its
     place; a build no wider reads it. The held rows are the first min(T,
-    _CHUNK_BUDGET // (8 width)) trials at the width they were drawn at, the
-    16 MiB of one chunk; a build draws its trials beyond them as it would
-    without a held draw.
+    _CHUNK_BUDGET // (8 width)) trials at the width they were drawn at, one
+    chunk's budget of normals; a build draws its trials beyond them as it
+    would without a held draw.
     """
 
     def __init__(self, seed: int):
@@ -300,7 +302,7 @@ def build_trial_tables(
     Each chunk of trials is drawn once, at the widest L, and every table is
     reduced from its column prefix of those normals, so each table equals
     one built on its own. A chunk is the most trials whose draw and
-    reduction fit in `_CHUNK_BUDGET`, 16 MiB (`_chunk_size`). Per-trial
+    reduction fit in `_CHUNK_BUDGET` (`_chunk_size`). Per-trial
     keyed streams make the result independent of chunking and of `workers`,
     which only bounds the thread pool used across chunks. With `held`, the
     trials it holds are read from its column prefix, or drawn into it when

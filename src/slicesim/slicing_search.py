@@ -20,12 +20,12 @@ configuration; the rate searches of one scenario share that table
 decodes iff its SINR reaches `channel.rate_threshold(r)`, 2^r - 1, and an
 exact error count out of n meets eps iff it is at most `_error_budget(n,
 eps)`, the largest count with `errors / n <= eps`. The orthogonal MTC
-target is read exactly from the table: a rate meets eps_M iff its
-threshold is at most one order statistic of the running-minimum SINRs
-(`_orth_threshold`), with no tolerance. That gives the orthogonal
-endpoint, and whether the cap RATE_CAP is feasible; the caller computes it
-once per table and hands it to the non-orthogonal search as its rate
-ceiling. That search bisects the MTC rate to RATE_TOL up to the ceiling
+target is read exactly from the table, with no tolerance: a rate meets
+eps_M iff its threshold is at most one order statistic of the
+running-minimum SINRs, so iff it is at most the orthogonal endpoint
+(`max_mmtc_rate_orth`), the largest such rate. The caller computes the
+endpoint once per table and hands it to the non-orthogonal search as its
+rate ceiling. That search bisects the MTC rate to RATE_TOL up to the ceiling
 and the target SNR to GAMMA_REL_TOL, within a bracket fixed once per r_B;
 one target-SNR search (`_gamma_search`) decides its feasibility and that
 of the device-count search. The broadband error count is not monotone in the
@@ -54,12 +54,12 @@ error counts, which the caller formats.
 The device-count search needs a table per probed device count. It answers
 all (r_B, mode) points of one antenna count together, so each count is
 built once and only one table is alive at a time; its orthogonal points
-all read the table's one order statistic. Beside it the search holds one
-draw, that of the widest count probed so far, capped at
-`monte_carlo._CHUNK_BUDGET` bytes:
-a device count's draw is a column prefix of a larger count's, so a build
-no wider than the held draw reads its held trials instead of drawing them,
-and only the doubling phase, which widens it, draws them anew.
+all compare their rates with the table's one orthogonal endpoint. Beside
+it the search holds one draw, that of the widest count probed so far,
+capped at `monte_carlo._CHUNK_BUDGET` bytes: a device count's draw is a
+column prefix of a larger count's, so a build no wider than the held draw
+reads its held trials instead of drawing them, and only the doubling
+phase, which widens it, draws them anew.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ __all__ = [
 RATE_TOL = 0.01  # bits/s/Hz, below the plot resolution of the target figures
 GAMMA_REL_TOL = 0.01
 GAMMA_LO_FRACTION = 1e-9  # the bracket's lower end, as a fraction of the way to the cap
-RATE_CAP = 64.0  # bits/s/Hz, the largest MTC rate `max_mmtc_rate_orth` returns
 M_CAP = 4096  # largest device count `max_devices` probes
 
 Counts = Tuple[int, int]  # `TrialTable.nonorth_error_counts`: (MTC, broadband)
@@ -105,40 +104,29 @@ def _error_budget(n: int, eps: float) -> int:
     return errors
 
 
-def _orth_threshold(table: TrialTable) -> float:
-    """The largest rate threshold the table's orthogonal outage meets eps_M
-    at: a rate r is feasible without broadband interference iff
-    `rate_threshold(r)` is at most this value.
-
-    A device-slot decodes at rate r iff its running-minimum SINR
-    (`prefix_min`) reaches the threshold, so a threshold is met iff at most
-    e entries, the error budget of the M * trials device-slots, fall below
-    it: iff it is at most the (e + 1)-th smallest entry.
-    """
-    # order "K" reads the column-major table as it lies, without a copy
-    flat = table.prefix_min.ravel(order="K")
-    errors = _error_budget(flat.size, table.cfg.eps_M)  # < flat.size, since eps_M < 1
-    return float(np.partition(flat, errors)[errors])
-
-
 def max_mmtc_rate_orth(table: TrialTable) -> float:
     """Largest common MTC rate meeting the eps_M outage target without
-    broadband interference, read exactly from the trial table's one order
-    statistic (`_orth_threshold`). The result is the largest double whose
-    threshold meets it: it is feasible and the next double is not. Returns
-    RATE_CAP, with a warning, when RATE_CAP is feasible.
+    broadband interference, read exactly from the trial table: the largest
+    double whose threshold meets it, so it is feasible and the next double
+    is not. `rate_threshold` is nondecreasing, so a rate is feasible iff it
+    is at most the result.
+
+    A device-slot decodes at rate r iff its running-minimum SINR
+    (`prefix_min`) reaches `rate_threshold(r)`, so a threshold is met iff at
+    most e entries, the error budget of the M * trials device-slots, fall
+    below it: iff it is at most the (e + 1)-th smallest entry.
     """
     if table.cfg.M < 1:
         raise ValueError("mMTC rate search needs M >= 1")
-    thr = _orth_threshold(table)
-    if rate_threshold(RATE_CAP) <= thr:
-        warnings.warn(
-            f"mMTC rate search hit the cap {RATE_CAP} bits/s/Hz; "
-            "the outage constraint appears non-binding"
-        )
-        return RATE_CAP
-    # 0 is feasible and RATE_CAP is not; halve until the two are adjacent doubles
-    lo, hi = 0.0, RATE_CAP
+    # order "K" reads the column-major table as it lies, without a copy
+    flat = table.prefix_min.ravel(order="K")
+    errors = _error_budget(flat.size, table.cfg.eps_M)  # < flat.size, since eps_M < 1
+    thr = float(np.partition(flat, errors)[errors])
+    # rate 0 is feasible, its threshold 0 being at most any SINR, and 1024 is
+    # not, its threshold +inf being above any (`SystemConfig` keeps them
+    # finite); halve until the two are adjacent doubles. No log2 inverse:
+    # 2^r - 1 rounds to 0 for every r below about 1.6e-16
+    lo, hi = 0.0, 1024.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if rate_threshold(mid) <= thr:
             lo = mid
@@ -303,10 +291,11 @@ def max_devices(
 
     Orthogonal mode allocates the slot fraction implied by r_B and requires
     the per-device rate r_M / (1 - alpha) during the MTC fraction, which a
-    count supports iff its threshold is at most the table's
-    `_orth_threshold` (never from 1024 bits/s/Hz on); a broadband rate at or
-    past the outage rate leaves no time for MTC and yields 0. Per point, doubling from M = 1 brackets the answer, then
-    binary search, assuming feasibility is monotone in the device count.
+    count supports iff it is at most the table's orthogonal endpoint
+    (`max_mmtc_rate_orth`, below 1024 bits/s/Hz); a broadband rate at or
+    past the outage rate leaves no time for MTC and yields 0. Per point,
+    doubling from M = 1 brackets the answer, then binary search, assuming
+    feasibility is monotone in the device count.
     The points share their tables: each probed count gets one table, built
     with `workers` threads, on which every point probing that count is
     answered. The table is then dropped, so one table is alive at a time.
@@ -351,15 +340,15 @@ def max_devices(
         m = min(waiting)
         table = build_trial_table(replace(cfg, M=m), workers=workers, held=held)
         budget = _error_budget(m * cfg.trials, cfg.eps_M)
-        # the orthogonal order statistic and the MTC thresholds at r_M, each
-        # shared by the points of its mode
-        thr = mtc = None
+        # the orthogonal endpoint and the MTC thresholds at r_M, each shared
+        # by the points of its mode
+        r_orth = mtc = None
         for i in waiting[m]:
             r_M_i, r_B, gammas = searches[i]
             if gammas is None:
-                if thr is None:
-                    thr = _orth_threshold(table)
-                ok = rate_threshold(r_M_i) <= thr
+                if r_orth is None:
+                    r_orth = max_mmtc_rate_orth(table)
+                ok = r_M_i <= r_orth
             else:
                 if mtc is None:
                     mtc = table.mmtc_thresholds(r_M)

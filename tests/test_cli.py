@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,27 @@ class TestRunRegion:
             + "mode = both\nalpha_points = 3\nr_b_points = 3\n",
         )
         assert run_region(spec) == run_region(spec)
+
+    def test_slack_endpoint_bounds_every_nonorthogonal_rate(self, tmp_path, capsys):
+        # one device at huge gains: no interference limits its SINR, so the
+        # orthogonal endpoint (above 64 bits/s/Hz) is where eps_M binds, and
+        # broadband interference can only lower the rate below it
+        cfg = tmp_path / "huge1.cfg"
+        cfg.write_text("L = 2\nM = 1\ngamma_bar_M = 1e25\nalpha_points = 3\nr_b_points = 3\n")
+        out = tmp_path / "region.csv"
+        argv = ["region", "--preset", "fig3", "--config", str(cfg), "--trials", "300",
+                "--seed", "1", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = rows_of(out.read_text())
+        orth = [row for row in rows if row["mode"] == "orth"]
+        nonorth = [row for row in rows if row["mode"] == "nonorth"]
+        assert float(orth[0]["alpha"]) == 0.0 and orth[0]["eps_M_hat"] == "0.100000"
+        r_M_out = float(orth[0]["r_M"])
+        assert len(nonorth) == 3
+        assert all(float(row["r_M"]) <= r_M_out for row in nonorth)
 
 
 class TestRunOutage:
