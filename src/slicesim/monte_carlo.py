@@ -20,7 +20,10 @@ draws each chunk of trials once, at the widest L of the sweep, and reduces
 every L's table from its column prefix; `build_trial_table` is the sweep
 of one antenna count. A device count's draw is in the same way a column
 prefix of the draw of any larger device count, and a `HeldDraw` keeps one
-draw across builds so that narrower builds reduce from its prefix.
+draw across builds so that narrower builds reduce from its prefix. A build
+allocates its temporaries once, one `_Workspace` per worker thread: each
+chunk is drawn, transformed and reduced in a free one, which writes the
+statistics into the tables' rows.
 
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
 count the errors of one operating point, as the CLI's rows report them;
@@ -52,11 +55,13 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SystemConfig, rate_threshold
 from .numerics import _normals_from_uniforms, keyed_uniforms
@@ -211,13 +216,17 @@ class TrialTable:
 
 
 def _trial_bytes(M: int, width: int) -> int:
-    # the most bytes one trial of a chunk holds at once, from the arrays that
-    # `_normals_from_uniforms` and `_table_chunk` allocate: the draw's
-    # uniforms, clamp and normals (24 bytes per column of the widest L); a
-    # reduction's normals and channel copies (at most 24 per column), its
-    # complex Gram and squared magnitudes (24 per entry), and the float64
-    # vectors it ends with (80 per signal, the M devices and the broadband)
-    return 24 * (width + M * M) + 80 * (M + 1)
+    # the bytes per trial of a `_Workspace` and the sort order that
+    # `_table_chunk` allocates beside it: the draw and two complex channel
+    # buffers at the widest L (8 bytes per column each), the complex Gram
+    # and its squared magnitudes (24 per entry), a complex per-device
+    # vector, two float ones, the flat row starts and the sort order (48
+    # per device), and the complex broadband power (16); and 1/64 more for
+    # numpy's own allocations during a chunk (the sort's iterators, the
+    # views), which measured at most 15 KB and which any full chunk, 16384
+    # trials or half of _CHUNK_BUDGET, covers with 16 KiB or more
+    workspace = 24 * (width + M * M) + 48 * M + 16
+    return workspace + workspace // 64
 
 
 def _count_bytes(T: int, M: int) -> int:
@@ -228,16 +237,23 @@ def _count_bytes(T: int, M: int) -> int:
     return T * (17 * M + 44) + 8 * np.getbufsize()
 
 
-# bytes: the most a chunk of trials holds at once, and the most a HeldDraw holds
-_CHUNK_BUDGET = 2**24  # 16 MiB
+# bytes: the most one worker's workspace holds, and the most a HeldDraw holds
+_CHUNK_BUDGET = 2**22  # 4 MiB
+_HELD_BUDGET = 2**24  # 16 MiB
 
 
 def _chunk_size(M: int, width: int) -> int:
-    # the most trials whose peak fits in _CHUNK_BUDGET, at most 16384; a
-    # trial larger than that is a chunk of its own. 64 MiB was slower: an
-    # M = 48, L = 8 chunk then held a 30 MiB complex Gram, and on a 2-vCPU
-    # VM (glibc 2.36) the benchmark's max-devices command spent 0.10 s of
-    # system time against 0.03 s at 16 MiB
+    # the most trials whose workspace fits in _CHUNK_BUDGET, at most 16384;
+    # a trial larger than that is a chunk of its own. The workspace is
+    # reused from chunk to chunk, so the budget trades only its size against
+    # the calls per chunk. On a 2-vCPU VM (glibc 2.36, medians of six runs)
+    # the benchmark's `outage` command peaked at 101.7 MB with 2 workers and
+    # 4 MiB workspaces, 109.7 MB at 8 MiB and 125.7 MB at 16 MiB, in the
+    # same time; 2 MiB saved 0.5 MB more, and its `region` median read
+    # 0.32 s against 0.27 s. At fig5 sizes (L = 16, M = 128) a reduction
+    # took 127-157 us per trial at 4 to 128 trials per chunk, with no trend.
+    # Two workers pay for the number of chunks where one does not: L = 8
+    # builds at M = 40-60 took about 20% longer at 4 MiB than at 16 MiB
     return max(1, min(16384, _CHUNK_BUDGET // _trial_bytes(M, width)))
 
 
@@ -248,9 +264,8 @@ class HeldDraw:
 
     A build wider than the held draw frees it and holds its own draw in its
     place; a build no wider reads it. The held rows are the first min(T,
-    _CHUNK_BUDGET // (8 width)) trials at the width they were drawn at, one
-    chunk's budget of normals; a build draws its trials beyond them as it
-    would without a held draw.
+    _HELD_BUDGET // (8 width)) trials at the width they were drawn at; a
+    build draws its trials beyond them as it would without a held draw.
     """
 
     def __init__(self, seed: int):
@@ -258,39 +273,107 @@ class HeldDraw:
         self.normals = np.empty((0, 0))
 
 
-def _table_chunk(cfg: SystemConfig, Z: np.ndarray):
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    # the leading entries of a flat buffer, as a C-contiguous array of shape
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+class _Workspace:
+    """Every temporary of a chunk of up to n trials, drawn at `width`
+    columns and reduced to tables of M devices: flat buffers that
+    `_table_chunk` views at each table's shape. A build allocates one per
+    worker thread, and each chunk takes a free one. It and what
+    `_table_chunk` allocates beside it hold at most n *
+    `_trial_bytes(M, width)` bytes."""
+
+    def __init__(self, n: int, M: int, width: int):
+        # the flat index of each trial's first device, per device
+        self.row_starts = np.repeat(M * np.arange(n), M).reshape(n, M)
+        self.draw = np.empty((n, width))  # uniforms, then normals, in place
+        # the scaled channels, g_B then the devices' L-rows, and their copies
+        self.chan = np.empty(n * width // 2, np.complex128)
+        self.chan2 = np.empty(n * width // 2, np.complex128)
+        self.gram = np.empty(n * M * M, np.complex128)
+        # after a Gram's magnitudes are taken, its storage holds `upper`,
+        # 1.0 above the diagonal: a copy of the windows of a 0-then-1 step,
+        # (2M - 1) values stored past it
+        floats = self.gram.view(np.float64)
+        self.upper = _view(floats, M, M)
+        self.step = floats[M * M: M * M + 2 * M - 1]
+        self.windows = sliding_window_view(self.step, M)[::-1]
+        self.mag = np.empty(n * M * M)
+        self.dev = np.empty(n * M, np.complex128)
+        self.f1 = np.empty(n * M)
+        self.f2 = np.empty(n * M)
+        self.power = np.empty(n, np.complex128)
+
+
+def _table_chunk(cfg: SystemConfig, Z: np.ndarray, ws: _Workspace, out) -> None:
     # Z holds one row of 2L(M+1) standard normals per trial: the broadband
     # channel's (re, im) pairs, then each device's. Read as complex128, each
-    # pair is one channel coefficient, so the channels are scaled views of Z
+    # pair is one channel coefficient. `out` is the chunk's rows of the
+    # table's (c, interf, b, b_suffix, d, prefix_min). Every temporary is a
+    # C-contiguous view of ws, and every arithmetic step the numpy call, on
+    # the same layout, that a fresh array would get, so the statistics do
+    # not depend on the buffers. Only the sort order is allocated. Strided
+    # rows, of the draw or of the column-major table, are only copied
+    # (np.copyto): a ufunc on them would allocate iteration buffers, since
+    # numpy 2.4 buffers operands whose inner loop is shorter than
+    # np.getbufsize()
+    c, interf, b, b_suffix, d, prefix_min = out
     L, M = cfg.L, cfg.M
     n = Z.shape[0]
     Zc = Z.view(np.complex128)
-    g_B = Zc[:, :L] * math.sqrt(cfg.gamma_bar_B / 2.0)
-    G = Zc[:, L:].reshape(n, M, L) * math.sqrt(cfg.gamma_bar_M / 2.0)
-    c = np.einsum("tml,tml->tm", G, G.conj()).real
-    order = np.argsort(-c, axis=1, kind="stable")
+    g_B = _view(ws.chan, n, L)
+    np.copyto(g_B, Zc[:, :L])
+    g_B *= math.sqrt(cfg.gamma_bar_B / 2.0)
+    G = _view(ws.chan[n * L:], n, M, L)
+    np.copyto(G, Zc[:, L:].reshape(n, M, L))
+    G *= math.sqrt(cfg.gamma_bar_M / 2.0)
+    Gs = _view(ws.chan2[n * L:], n, M, L)  # the conjugate, then the sorted rows
+    unsorted = np.einsum("tml,tml->tm", G, np.conjugate(G, out=Gs), out=_view(ws.dev, n, M))
+    neg = np.negative(unsorted.real, out=_view(ws.f1, n, M))
+    order = np.argsort(neg, axis=1, kind="stable")
+    order += ws.row_starts[:n]
     # a row gather copies each device's contiguous L-row, where
-    # take_along_axis would build a broadcast (n, M, L) index
-    rows = np.arange(n)[:, None]
-    G = G[rows, order]
-    c = c[rows, order]
-    Gc = G.conj()  # shared by the Gram block and the coupling
-    cross = G @ Gc.transpose(0, 2, 1)  # BLAS batched Gram block
-    xb = np.einsum("tml,tl->tm", Gc, g_B)
-    del G, Gc
+    # take_along_axis would build a broadcast (n, M, L) index; mode "clip"
+    # writes into out directly, where "raise" buffers it
+    np.take(G.reshape(n * M, L), order.ravel(), axis=0, out=Gs.reshape(n * M, L),
+            mode="clip")
+    cs = _view(ws.f2, n, M)  # c in SIC order
+    np.take(neg.ravel(), order.ravel(), out=cs.ravel(), mode="clip")
+    del order
+    np.negative(cs, out=cs)
+    np.copyto(c, cs)
+    Gc = np.conjugate(Gs, out=G)  # shared by the Gram block and the coupling
+    cross = np.matmul(Gs, Gc.transpose(0, 2, 1), out=_view(ws.gram, n, M, M))  # BLAS
     # |cross|^2: square in place through the (re, im) float view, then add
-    cross = cross.view(np.float64)
-    np.square(cross, out=cross)
-    cross = cross[:, :, 0::2] + cross[:, :, 1::2]
-    # 1.0 above the diagonal, as np.triu(np.ones((M, M)), k=1) without the
-    # (M, M) float64 ones it masks: a one-trial chunk has no room for them
-    upper = (np.arange(M)[:, None] < np.arange(M)).astype(np.float64)
-    interf = cfg.P_M * np.einsum("tmn,mn->tm", cross, upper)
-    b = xb.real**2 + xb.imag**2
-    d = np.einsum("tl,tl->t", g_B, g_B.conj()).real
-    b_suffix = cfg.P_M * np.cumsum(b[:, ::-1], axis=1)[:, ::-1]
-    prefix_min = np.minimum.accumulate((cfg.P_M * c * c) / (interf + c), axis=1)
-    return c, interf, b, b_suffix, d, prefix_min
+    sq = cross.view(np.float64)
+    np.square(sq, out=sq)
+    mag = np.add(sq[:, :, 0::2], sq[:, :, 1::2], out=_view(ws.mag, n, M, M))
+    ws.step[:M] = 0.0
+    ws.step[M:] = 1.0
+    np.copyto(ws.upper, ws.windows)
+    inter = np.einsum("tmn,mn->tm", mag, ws.upper, out=_view(ws.f1, n, M))
+    inter *= cfg.P_M
+    np.copyto(interf, inter)
+    # the no-broadband SINR chain, in the device buffer's float storage
+    num = np.multiply(cfg.P_M, cs, out=_view(ws.dev.view(np.float64), n, M))
+    num *= cs
+    num /= np.add(inter, cs, out=_view(ws.dev.view(np.float64)[n * M:], n, M))
+    np.minimum.accumulate(num, axis=1, out=prefix_min)
+    xb = np.einsum("tml,tl->tm", Gc, g_B, out=_view(ws.dev, n, M))
+    xf = xb.view(np.float64)
+    np.square(xf, out=xf)
+    bb = np.add(xf[:, 0::2], xf[:, 1::2], out=_view(ws.f1, n, M))
+    np.copyto(b, bb)
+    suffix = _view(ws.f2, n, M)
+    np.cumsum(bb[:, ::-1], axis=1, out=suffix[:, ::-1])
+    suffix *= cfg.P_M
+    np.copyto(b_suffix, suffix)
+    power = np.einsum("tl,tl->t", g_B, np.conjugate(g_B, out=_view(ws.chan2, n, L)),
+                      out=ws.power[:n])
+    np.copyto(d, power.real)
 
 
 def build_trial_tables(
@@ -301,8 +384,11 @@ def build_trial_tables(
 
     Each chunk of trials is drawn once, at the widest L, and every table is
     reduced from its column prefix of those normals, so each table equals
-    one built on its own. A chunk is the most trials whose draw and
-    reduction fit in `_CHUNK_BUDGET` (`_chunk_size`). Per-trial
+    one built on its own. The build allocates one `_Workspace` per worker
+    thread, freed on return, and each chunk takes a free one: the chunk is
+    drawn into it (or into the held rows), transformed in place, and
+    reduced through it into the tables' rows. A chunk is the most trials
+    whose workspace fits in `_CHUNK_BUDGET` (`_chunk_size`). Per-trial
     keyed streams make the result independent of chunking and of `workers`,
     which only bounds the thread pool used across chunks. With `held`, the
     trials it holds are read from its column prefix, or drawn into it when
@@ -312,9 +398,9 @@ def build_trial_tables(
     Every table of the sweep is alive at once; builds and searches never
     overlap. Raises MemoryError, before allocating, when the tables and the
     held draw plus the larger of two peaks exceed the machine's physical
-    memory: the chunks in flight, each holding its own draw and Gram
-    (`_trial_bytes` per trial), and the count temporaries of a search on one
-    table (`_count_bytes`).
+    memory: the workspaces, one per chunk in flight (`_trial_bytes` per
+    trial), and the count temporaries of a search on one table
+    (`_count_bytes`).
     """
     T, M = cfg.trials, cfg.M
     width = 2 * max(L_values) * (M + 1)
@@ -323,15 +409,15 @@ def build_trial_tables(
         if held.seed != cfg.seed:
             raise ValueError(f"held draw of seed {held.seed} for a build of seed {cfg.seed}")
         redraw = held.normals.shape[1] < width
-        rows = min(T, _CHUNK_BUDGET // (8 * width) if redraw else len(held.normals))
+        rows = min(T, _HELD_BUDGET // (8 * width) if redraw else len(held.normals))
         held_bytes = rows * width * 8 if redraw else held.normals.nbytes
-    step = _chunk_size(M, width)
+    step = min(_chunk_size(M, width), T)
     # chunks end at the held rows' end; counted, not listed, before the check:
     # one-trial chunks of a table far over memory would make a list as long
     chunks = -(-rows // step) - (-(T - rows) // step)
     in_flight = min(max(workers, 1), chunks)  # threads, at most one per chunk
     table_bytes = T * (5 * M + 1) * 8  # five (T, M) arrays and d, float64
-    chunk_bytes = min(step, T) * _trial_bytes(M, width)
+    chunk_bytes = step * _trial_bytes(M, width)
     count_bytes = _count_bytes(T, M)
     need = (len(L_values) * table_bytes + held_bytes
             + max(in_flight * chunk_bytes, count_bytes))
@@ -360,31 +446,34 @@ def build_trial_tables(
     kept = None if held is None else held.normals
     bounds = [(t0, min(t0 + step, rows)) for t0 in range(0, rows, step)]
     bounds += [(t0, min(t0 + step, T)) for t0 in range(rows, T, step)]
+    # one workspace per thread, allocated here, not in the worker threads: a
+    # worker thread allocates from a malloc arena of its own, which the C
+    # library hands back to the system less readily than the main one
+    spaces = queue.SimpleQueue()
+    for _ in range(in_flight):
+        spaces.put(_Workspace(step, M, width))
 
     def fill(span):
         t0, t1 = span
-        if t1 <= rows and not redraw:
-            Z = kept[t0:t1, :width]
-        else:
-            Z = _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, width))
-            if t1 <= rows:  # held, and the chunk's own draw freed before its reduction
-                kept[t0:t1] = Z
-                Z = kept[t0:t1]
-        for tab in tables:
-            # copied into the table in one statement: a table's reduction is
-            # freed before the next one runs
-            (tab.c[t0:t1], tab.interf[t0:t1], tab.b[t0:t1], tab.b_suffix[t0:t1],
-             tab.d[t0:t1], tab.prefix_min[t0:t1]) = _table_chunk(
-                tab.cfg, Z[:, : 2 * tab.cfg.L * (M + 1)])
+        ws = spaces.get()  # a free one: each thread holds at most one
+        try:
+            Z = kept[t0:t1, :width] if t1 <= rows else ws.draw[: t1 - t0]
+            if t1 > rows or redraw:
+                _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, width, out=Z))
+            for tab in tables:
+                _table_chunk(tab.cfg, Z[:, : 2 * tab.cfg.L * (M + 1)], ws,
+                             [a[t0:t1] for a in (tab.c, tab.interf, tab.b, tab.b_suffix,
+                                                 tab.d, tab.prefix_min)])
+        finally:
+            spaces.put(ws)
 
     if in_flight > 1:
         with ThreadPoolExecutor(max_workers=in_flight) as pool:
             list(pool.map(fill, bounds))
     else:
-        # in the calling thread: a worker thread allocates from a malloc arena
-        # of its own, which the C library hands back to the system less
-        # readily than the main one, so one worker thread made the `max-devices`
-        # sweep's peak RSS 160-213 MB from run to run, against a steady 137 MB
+        # in the calling thread, whose malloc arena returns freed memory most
+        # readily: one worker thread made the `max-devices` sweep's peak RSS
+        # 160-213 MB from run to run, against a steady 137 MB
         for span in bounds:
             fill(span)
     return tables

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -53,8 +54,11 @@ class RngStream:
 
 def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     # Inverse-CDF transform: exactly one uniform per normal, so consumption
-    # per entry is fixed and sub-vectors sit at fixed stream offsets.
-    return ndtri(np.maximum(u, _TINY_U))
+    # per entry is fixed and sub-vectors sit at fixed stream offsets. The
+    # clamp and the transform overwrite u, which is returned: a draw holds
+    # one array, not three.
+    np.maximum(u, _TINY_U, out=u)
+    return ndtri(u, out=u)
 
 
 def sample_complex_gaussian(
@@ -75,9 +79,15 @@ def sample_complex_gaussian(
     return scale * (z[0::2] + 1j * z[1::2])
 
 
-def keyed_uniforms(seed: int, first_stream: int, n_streams: int, n_per: int) -> np.ndarray:
+def keyed_uniforms(
+    seed: int, first_stream: int, n_streams: int, n_per: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Uniform block for consecutive streams; row i equals the first `n_per`
     uniforms of RngStream(seed, first_stream + i).
+
+    The block is written into `out` when given, an (n_streams, n_per)
+    float64 array whose rows are contiguous (such as rows or a column
+    prefix of a larger buffer), and returned; otherwise it is allocated.
 
     Reuses a single Philox instance with per-row state resets, which is
     bit-identical to constructing a fresh generator per stream but avoids
@@ -88,7 +98,10 @@ def keyed_uniforms(seed: int, first_stream: int, n_streams: int, n_per: int) -> 
     """
     if n_streams < 0 or n_per < 0:
         raise ValueError("n_streams and n_per must be nonnegative")
-    out = np.empty((n_streams, n_per))
+    if out is None:
+        out = np.empty((n_streams, n_per))
+    elif out.shape != (n_streams, n_per) or out.dtype != np.float64:
+        raise ValueError(f"out must be a ({n_streams}, {n_per}) float64 array")
     if n_streams == 0 or n_per == 0:
         return out
     bg = np.random.Philox(key=[seed, first_stream])

@@ -56,7 +56,7 @@ all (r_B, mode) points of one antenna count together, so each count is
 built once and only one table is alive at a time; its orthogonal points
 all compare their rates with the table's one orthogonal endpoint. Beside
 it the search holds one draw, that of the widest count probed so far,
-capped at `monte_carlo._CHUNK_BUDGET` bytes: a device count's draw is a
+capped at `monte_carlo._HELD_BUDGET` bytes: a device count's draw is a
 column prefix of a larger count's, so a build no wider than the held draw
 reads its held trials instead of drawing them, and only the doubling
 phase, which widens it, draws them anew.

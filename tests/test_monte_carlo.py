@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -85,9 +87,9 @@ class TestRouteEquivalence:
             )
             assert fast == ref
 
-    @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 300)])
+    @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 200)])
     def test_nonorthogonal_counts(self, L, M):
-        # M = 300 at L = 12 takes two chunks of trials. r_M = 0 decodes
+        # M = 200 at L = 12 takes two chunks of trials. r_M = 0 decodes
         # every device first, so the broadband attempt comes last; M = 1 puts
         # every other attempt at the last SIC position
         cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else two_chunks(L, M))
@@ -152,9 +154,9 @@ class TestNonorthPass:
     """The non-orthogonal count pass: a comparison of per-trial target-SNR
     thresholds, checked against the replayed decode."""
 
-    @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 300)])
+    @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 200)])
     def test_one_pass_answers_every_rate_as_the_replay(self, L, M):
-        # the shapes of TestRouteEquivalence: M = 300 spans two chunks. At
+        # the shapes of TestRouteEquivalence: M = 200 spans two chunks. At
         # each r_B one set of broadband thresholds and, per rate, one set of
         # MTC thresholds answer the bracket's two ends and its geometric
         # middle at r_M = 0 (k == M), the r_M the search accepts there,
@@ -331,12 +333,13 @@ class TestDeterminism:
 
     def test_memory_check_counts_the_count_pass(self, monkeypatch):
         # at L = 1, M = 1 and T = 2^17 the table is 6 * T * 8 bytes and a
-        # chunk 16384 trials of 280 bytes; a search on the table holds U, V,
+        # chunk 16384 trials of 186 bytes; a search on the table holds U, V,
         # the decoded counts and a count pass's transients, 61 bytes per
         # trial and one reduction buffer, which is the larger peak
         T = 2**17
         count = T * 61 + 8 * np.getbufsize()
-        assert 16384 * 280 < count
+        assert monte_carlo._chunk_size(1, 4) == 16384
+        assert 16384 * monte_carlo._trial_bytes(1, 4) < count
         need = 6 * T * 8 + count
 
         def physical(n):
@@ -353,11 +356,12 @@ class TestDeterminism:
     def test_memory_check_counts_every_table_of_a_sweep(self, monkeypatch):
         # at M = 1 and T = 32768 each table is 6 * T * 8 bytes; the sweep at
         # L = 1, 2 holds both tables and, with two workers, two chunks in
-        # flight of 16384 trials at the L = 2 width, 376 bytes each, which
+        # flight of 14768 trials at the L = 2 width, 284 bytes each, which
         # outweigh the count temporaries of either table
         T = 32768
-        physical = 6 * T * 8 + 2 * 16384 * 376  # the L = 2 build
-        assert T * 61 + 8 * np.getbufsize() < 2 * 16384 * 376
+        chunk = monte_carlo._chunk_size(1, 8) * monte_carlo._trial_bytes(1, 8)
+        physical = 6 * T * 8 + 2 * chunk  # the L = 2 build
+        assert T * 61 + 8 * np.getbufsize() < 2 * chunk
         sysconf = lambda name: physical if name == "SC_PHYS_PAGES" else 1  # noqa: E731
         monkeypatch.setattr(monte_carlo.os, "sysconf", sysconf)
         cfg = make_cfg(L=1, M=1, trials=T)
@@ -367,12 +371,12 @@ class TestDeterminism:
             monte_carlo.build_trial_tables(cfg, (1, 2), workers=2)
 
     def test_memory_check_reserves_every_chunk_in_flight(self, monkeypatch):
-        # at L = 1 and M = 300 a chunk's Grams dominate: two chunks of
+        # at L = 1 and M = 200 a chunk's Grams dominate: two chunks of
         # trials, and two workers hold both at once. The reservation before
         # counted one Gram block (16 bytes per entry) beside every chunk's
         # draw (16 bytes per column), however many chunks were in flight: the
         # build fits under it and not under both chunks
-        M, width = 300, 2 * 301
+        M, width = 200, 2 * 201
         step = monte_carlo._chunk_size(M, width)
         T = 2 * step
         tables = T * (5 * M + 1) * 8
@@ -414,13 +418,16 @@ class TestDeterminism:
         lambda M, width: max(1, min(16384, 4_000_000 // max(M * M, 1))),
         # the byte bound at a 64 MiB budget
         lambda M, width: max(1, min(16384, 2**26 // monte_carlo._trial_bytes(M, width))),
-    ], ids=["gram-only", "64-mib"])
+        # the peak of a chunk that allocated its own temporaries, at 16 MiB
+        lambda M, width: max(1, min(16384, 2**24 // (24 * (width + M * M) + 80 * (M + 1)))),
+    ], ids=["gram-only", "64-mib", "16-mib"])
     @pytest.mark.parametrize("L_values,M,trials", [((1, 8, 16), 10, 20_000), ((8,), 64, 2000)])
     def test_tables_do_not_depend_on_the_chunk_rule(self, monkeypatch, rule, L_values, M,
                                                     trials):
-        # the outage sweep is 14 chunks under the byte bound, four at a
-        # 64 MiB budget and two under the Gram-only rule; at (L = 8, M = 64)
-        # the rules make 16, four and three chunks
+        # the outage sweep is 55 chunks under the workspace bound, 14 under
+        # the 16 MiB rule, four at a 64 MiB budget and two under the
+        # Gram-only rule; at (L = 8, M = 64) the rules make 63, 16, four and
+        # three chunks. Each workspace serves several chunks
         cfg = make_cfg(M=M, trials=trials)
         width = 2 * max(L_values) * (M + 1)
         new = build_trial_tables(cfg, L_values)
@@ -428,6 +435,49 @@ class TestDeterminism:
         monkeypatch.setattr(monte_carlo, "_chunk_size", rule)
         old = build_trial_tables(cfg, L_values)
         for a, b in zip(new, old):
+            for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_builds_share_no_state(self, workers):
+        # the outage sweep, then L = 8 at M = 57, then the sweep again, each
+        # in more chunks than workers with a short last one, so every
+        # workspace serves several chunks and tables. Every table equals one
+        # built alone, later builds leave earlier tables as they were, and
+        # no two tables share memory
+        fields = ("c", "interf", "b", "b_suffix", "d", "prefix_min")
+        sweep = (make_cfg(M=10, trials=999), (1, 8, 16))
+        built = []
+        for cfg, L_values in (sweep, (make_cfg(M=57, trials=999), (8,)), sweep):
+            step = monte_carlo._chunk_size(cfg.M, 2 * max(L_values) * (cfg.M + 1))
+            assert chunk_count(cfg, L_values) > workers and cfg.trials % step
+            for table in build_trial_tables(cfg, L_values, workers=workers):
+                built.append((table, [getattr(table, name).copy() for name in fields]))
+        for table, as_built in built:
+            alone = build_trial_table(table.cfg)
+            for name, value in zip(fields, as_built):
+                assert np.array_equal(getattr(table, name), value)
+                assert np.array_equal(value, getattr(alone, name))
+        arrays = [getattr(table, name) for table, _ in built for name in fields]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_workspaces_are_not_shared_under_thread_switching(self):
+        # four workers, switching threads every microsecond, over 11 chunks:
+        # a workspace that two chunks used at once would corrupt a table, and
+        # a workspace not handed back would stall the build
+        cfg = make_cfg(M=10, trials=4000)
+        assert chunk_count(cfg, (1, 8, 16)) > 4
+        want = build_trial_tables(cfg, (1, 8, 16))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            got = pool.submit(build_trial_tables, cfg, (1, 8, 16), 4).result(timeout=120)
+        finally:
+            pool.shutdown(wait=False)
+            sys.setswitchinterval(interval)
+        for a, b in zip(want, got):
             for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -519,7 +569,7 @@ class TestMemoryBounds:
         for M in probed:
             width = 2 * cfg.L * (M + 1)
             widest = max(widest, width)
-            held = min(T, monte_carlo._CHUNK_BUDGET // (8 * widest)) * widest * 8
+            held = min(T, monte_carlo._HELD_BUDGET // (8 * widest)) * widest * 8
             step = monte_carlo._chunk_size(M, width)
             chunk = min(step, T) * monte_carlo._trial_bytes(M, width)
             need = max(need, T * (5 * M + 1) * 8 + held
@@ -762,8 +812,9 @@ class TestLargestGains:
         gain = math.sqrt(1e308 / M) / top
         cfg = make_cfg(L=L, M=M, gamma_bar_B=gain, gamma_bar_M=gain, trials=3)
         Z = np.full((3, 2 * L * (M + 1)), -_Z_MAX)
+        stats = [np.empty((3, M)) for _ in range(4)] + [np.empty(3), np.empty((3, M))]
         with np.errstate(all="raise"):
-            stats = monte_carlo._table_chunk(cfg, Z)
+            monte_carlo._table_chunk(cfg, Z, monte_carlo._Workspace(3, M, Z.shape[1]), stats)
         assert all(np.isfinite(s).all() for s in stats)
         assert stats[1].max() == pytest.approx((M - 1) / M * 1e308, rel=1e-9)
         for field in ("gamma_bar_B", "gamma_bar_M"):

@@ -8,10 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import exp1, gammainc, gammaincc, gammaincinv
+from scipy.special import exp1, gammainc, gammaincc, gammaincinv, ndtri
 
 from slicesim.channel import SystemConfig
-from slicesim.numerics import RngStream, keyed_uniforms, sample_complex_gaussian
+from slicesim.numerics import (
+    _TINY_U,
+    _Z_MAX,
+    RngStream,
+    _normals_from_uniforms,
+    keyed_uniforms,
+    sample_complex_gaussian,
+)
 
 # E1(1.0) frozen from adaptive quadrature of the defining integral (below)
 E1_AT_1 = 0.2193839343955203
@@ -222,3 +229,29 @@ class TestKeyedUniforms:
     def test_empty_shapes(self):
         assert keyed_uniforms(1, 0, 0, 5).shape == (0, 5)
         assert keyed_uniforms(1, 0, 3, 0).shape == (3, 0)
+
+    def test_fills_rows_of_a_caller_buffer(self):
+        # a column prefix of a wider buffer and rows of a taller one take the
+        # allocating call's values; nothing else in either buffer is written
+        want = keyed_uniforms(99, 10, 5, 12)
+        wide, tall = np.zeros((5, 20)), np.zeros((9, 12))
+        for buffer, rows in ((wide[:, :12], wide), (tall[2:7], tall)):
+            filled = keyed_uniforms(99, 10, 5, 12, out=buffer)
+            assert filled is buffer and np.array_equal(filled, want)
+            assert np.count_nonzero(rows) == np.count_nonzero(want)
+
+    def test_rejects_a_buffer_of_another_shape(self):
+        with pytest.raises(ValueError, match="out"):
+            keyed_uniforms(1, 0, 3, 4, out=np.empty((3, 5)))
+
+
+class TestNormalsFromUniforms:
+    def test_in_place_transform_is_the_out_of_place_one(self):
+        # the clamp and ndtri overwrite their input, bit for bit as the
+        # allocating calls; u = 0 becomes -_Z_MAX
+        u = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53],
+                            keyed_uniforms(3, 0, 1, 1000)[0]])
+        want = ndtri(np.maximum(u, _TINY_U))
+        z = _normals_from_uniforms(u)
+        assert z is u and z.tobytes() == want.tobytes()
+        assert z[0] == -_Z_MAX and np.isfinite(z).all()

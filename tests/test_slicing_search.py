@@ -454,15 +454,17 @@ class TestHeldDraw:
     @staticmethod
     def recorded_run(monkeypatch, budget, workers=1):
         """The device counts at L = 4 and 3000 trials, with the chunk and
-        hold budget set to `budget` bytes (None keeps it), and per build in
-        probe order: M, the build, the held draw's shape before and after
-        it, and the (first stream, streams, width) of each keyed draw it
-        made. The widest count probed is 32, a held draw of 264 columns."""
+        held-draw budgets both set to `budget` bytes (None keeps them), and
+        per build in probe order: M, the build, the held draw's shape before
+        and after it, and the (first stream, streams, width) of each keyed
+        draw it made. The widest count probed is 32, a held draw of 264
+        columns."""
         import slicesim.slicing_search as search
         from slicesim import monte_carlo
 
         if budget is not None:
             monkeypatch.setattr(monte_carlo, "_CHUNK_BUDGET", budget)
+            monkeypatch.setattr(monte_carlo, "_HELD_BUDGET", budget)
         builds = []
         build, draw = search.build_trial_table, monte_carlo.keyed_uniforms
 
@@ -472,9 +474,9 @@ class TestHeldDraw:
             builds[-1]["after"] = held.normals.shape
             return builds[-1]["table"]
 
-        def drawing(seed, first_stream, n_streams, n_per):
+        def drawing(seed, first_stream, n_streams, n_per, out=None):
             builds[-1]["draws"].append((first_stream, n_streams, n_per))
-            return draw(seed, first_stream, n_streams, n_per)
+            return draw(seed, first_stream, n_streams, n_per, out=out)
 
         monkeypatch.setattr(search, "build_trial_table", building)
         monkeypatch.setattr(monte_carlo, "keyed_uniforms", drawing)
