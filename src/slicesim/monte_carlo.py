@@ -40,12 +40,13 @@ SINR of the interleaved procedure is monotone in the broadband target SNR
 gamma, so each decode step is a threshold on gamma:
 `TrialTable.mmtc_thresholds(r_M)` holds, per trial and SIC position, the
 largest gamma at which the devices up to it decode with the broadband
-signal pending, and `TrialTable.embb_thresholds(r_B)` the least gamma at
-which the broadband attempt succeeds after each number of decoded devices.
-The first depends only on the MTC rate and the second only on the
-broadband rate, so a search builds each once per rate and
-`TrialTable.threshold_counts` answers each probed gamma with one
-comparison pass. The MTC thresholds come paired with the orthogonal
+signal pending. It depends only on the MTC rate, so a search builds it
+once per rate, and `TrialTable.threshold_counts` answers each probed gamma
+with one comparison pass: the count of thresholds at or above gamma is a
+trial's devices decoded before its broadband attempt, and the pass reads
+from the table, at that count only, the least gamma at which the attempt
+succeeds at broadband rate r_B, so nothing of size (T, M) is built per
+broadband rate. The MTC thresholds come paired with the orthogonal
 decoded count at the same rate, which a trial reaches once its broadband
 attempt succeeds, so a count never sees thresholds and decoded counts of
 two different rates.
@@ -160,42 +161,38 @@ class TrialTable:
             np.minimum(U[:, m - 1], U[:, m], out=U[:, m])
         return U, orth_decoded
 
-    def embb_thresholds(self, r_B: float) -> np.ndarray:
-        """(T, M + 1): per trial, the least target SNR at which the broadband
-        attempt at broadband rate r_B succeeds when made after k decoded
-        devices, k = 0..M.
+    def threshold_counts(self, mtc, thr_B: float, gamma_tar: float):
+        """(mMTC device-slot failures out of M * trials, broadband decode
+        failures out of trials) at target SNR gamma_tar, from mtc =
+        `mmtc_thresholds(r_M)` and the broadband threshold thr_B = 2^r_B - 1:
+        one comparison pass per target SNR. Requires gamma_tar > thr_B, as
+        `nonorth_error_counts` checks and every admissible target-SNR bracket
+        of the searches holds.
 
         The broadband device is conservatively always active: per trial it
         transmits at gamma / ||g_B||^2 with no truncation, so its error is
-        purely a decoding error. An attempt at position k < M faces devices
-        k.. (b_suffix) with SINR gamma d / (b_suffix_k + d), which reaches
-        thr_B = 2^r_B - 1 iff gamma >= thr_B (b_suffix_k + d) / d; at k == M
-        it comes last, interference-free, and succeeds iff gamma >= thr_B.
+        purely a decoding error. An attempt after k < M decoded devices faces
+        devices k.. (b_suffix) with SINR gamma d / (b_suffix_k + d), which
+        reaches thr_B iff gamma >= (b_suffix_k + d) thr_B / d, the least
+        target SNR read here at each trial's k; after k == M it comes last,
+        interference-free, and succeeds iff gamma >= thr_B.
         """
-        cfg = self.cfg
-        if cfg.M < 1:
-            raise ValueError("joint outage needs at least one MTC device (M >= 1)")
-        thr_B = rate_threshold(r_B)
-        V = np.empty((cfg.trials, cfg.M + 1), order="F")
-        np.add(self.b_suffix, self.d[:, None], out=V[:, : cfg.M])
-        V[:, : cfg.M] *= thr_B
-        V[:, : cfg.M] /= self.d[:, None]
-        V[:, cfg.M] = thr_B
-        return V
-
-    def threshold_counts(self, mtc, V, gamma_tar: float):
-        """(mMTC device-slot failures out of M * trials, broadband decode
-        failures out of trials) at target SNR gamma_tar, from mtc =
-        `mmtc_thresholds(r_M)` and V = `embb_thresholds(r_B)`: one comparison
-        pass per target SNR."""
         T, M = self.cfg.trials, self.cfg.M
         U, orth_decoded = mtc
         # U is nonincreasing along each trial, so the count of entries at or
         # above gamma_tar is k, the devices decoded before the broadband attempt
         k = (U >= gamma_tar).sum(axis=1, dtype=np.int32)
-        # V[t, k[t]] through the column-major flat index, which numpy gathers
-        # faster than a two-array index
-        embb_ok = V.ravel(order="F")[k * np.intp(T) + np.arange(T)] <= gamma_tar
+        # b_suffix[t, k[t]] through the column-major flat index, which numpy
+        # gathers faster than a two-array index; "clip" keeps a k == M trial's
+        # index in range, and that trial's attempt, interference-free,
+        # succeeds since gamma_tar > thr_B
+        least = np.take(self.b_suffix.ravel(order="F"), k * np.intp(T) + np.arange(T),
+                        mode="clip")
+        least += self.d
+        least *= thr_B
+        least /= self.d
+        embb_ok = least <= gamma_tar
+        embb_ok |= k == M
         # a rescued trial goes on from device k to the first failure of the
         # no-broadband chain; dropping P_B * b >= 0 from a denominator cannot
         # lower an SINR, so that failure is at or after k: the orthogonal count
@@ -210,9 +207,7 @@ class TrialTable:
         thr_B = rate_threshold(r_B)
         if not gamma_tar > thr_B:
             raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
-        return self.threshold_counts(
-            self.mmtc_thresholds(r_M), self.embb_thresholds(r_B), gamma_tar
-        )
+        return self.threshold_counts(self.mmtc_thresholds(r_M), thr_B, gamma_tar)
 
 
 def _trial_bytes(M: int, width: int) -> int:
@@ -230,11 +225,13 @@ def _trial_bytes(M: int, width: int) -> int:
 
 
 def _count_bytes(T: int, M: int) -> int:
-    # the most bytes a search holds beside a table of T trials: U, V and the
-    # decoded counts, and a count pass's larger transient, its (T, M) bool
-    # comparison or three int64 gather indices, each with an int32 sum; and
+    # the most bytes a search holds beside a table of T trials: U and the
+    # decoded counts (8M + 8 per trial); a count pass's transients beside its
+    # int32 k, first the (T, M) bool comparison (or one of U's bool masks),
+    # then three int64 gather indices, then the gathered float64 thresholds,
+    # two bool masks and the int64 decoded counts, each within M + 28; and
     # one reduction's cast buffer of np.getbufsize() values
-    return T * (17 * M + 44) + 8 * np.getbufsize()
+    return T * (9 * M + 36) + 8 * np.getbufsize()
 
 
 # bytes: the most one worker's workspace holds, and the most a HeldDraw holds

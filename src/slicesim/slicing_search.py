@@ -37,16 +37,19 @@ error count checked against eps_M, and the search returns that count
 with the rate.
 
 A count compares per-trial target-SNR thresholds (`monte_carlo`): the
-broadband ones depend only on r_B and the MTC ones, which carry the
-orthogonal decoded count at the same rate, only on the MTC rate. The rate
-search builds the broadband thresholds once per r_B point and the MTC
-thresholds once per rate probe, and counts each probed target SNR with one
+MTC ones, which carry the orthogonal decoded count at the same rate,
+depend only on the MTC rate, and the count pass reads the broadband one
+from the table at each trial's decoded count, given thr_B = 2^r_B - 1.
+All r_B points of a table bisect the same rate bracket, so they walk one
+tree of rates: the rate search answers them together, level by level, and
+builds each probed rate's MTC thresholds once for every point waiting on
+it, one rate's at a time. It counts each probed target SNR with one
 comparison pass against them. Rate 0 is not probed: there every device
 decodes before the broadband signal, which then decodes interference-free,
 so the lower end of the target-SNR bracket is accepted with no error. The
 device-count search, whose points share r_M, builds the MTC thresholds once
-per table it probes and the broadband ones once per point on it. Whatever
-owns a rate builds its thresholds and hands them to the target-SNR search.
+per table it probes. Whatever owns a rate builds its thresholds and hands
+them to the target-SNR search.
 
 The searches return plain values, as tuples of rates, target SNRs and
 error counts, which the caller formats.
@@ -170,20 +173,20 @@ def min_feasible_gamma_tar(cfg: SystemConfig, r_B: float, r_M: float) -> Optiona
     if bracket is None:
         return None
     table = build_trial_table(cfg)
-    found = _gamma_search(table, bracket, table.embb_thresholds(r_B),
-                          table.mmtc_thresholds(r_M), cfg.M * cfg.trials)
+    found = _gamma_search(table, bracket, rate_threshold(r_B), table.mmtc_thresholds(r_M),
+                          cfg.M * cfg.trials)
     return None if found is None else found[0]
 
 
 def _gamma_search(
-    table: TrialTable, bracket: Tuple[float, float], V: np.ndarray, mtc: MtcThresholds,
+    table: TrialTable, bracket: Tuple[float, float], thr_B: float, mtc: MtcThresholds,
     mtc_budget: int,
 ) -> Optional[Tuple[float, Counts]]:
     """(target SNR, the `nonorth_error_counts` at it) accepted on the table,
     or None when the rate pair is infeasible.
 
-    Searches the nonempty admissible interval `bracket` with V the table's
-    `embb_thresholds` at its r_B and mtc its `mmtc_thresholds` at its r_M.
+    Searches the nonempty admissible interval `bracket` with thr_B =
+    2^r_B - 1 at its r_B and mtc the table's `mmtc_thresholds` at its r_M.
     The lower end is taken when its broadband errors meet eps_B, as they do
     at r_M = 0, which the rate search therefore does not probe. Otherwise
     the upper end must meet it, and the interval is bisected geometrically
@@ -195,7 +198,7 @@ def _gamma_search(
     embb_budget = _error_budget(cfg.trials, cfg.eps_B)
 
     def counts(g: float) -> Counts:
-        return table.threshold_counts(mtc, V, g)
+        return table.threshold_counts(mtc, thr_B, g)
 
     lo, hi = bracket
     at_lo = counts(lo)
@@ -229,33 +232,10 @@ def max_mmtc_rate_nonorth(
     (`max_mmtc_rate_orth`): on every trial the non-orthogonal decoded set
     is a prefix of the orthogonal one, so no rate above it is feasible.
     Returns (0.0, cap SNR, None) when the admissible interval is empty
-    (r_B at the orthogonal outage rate).
+    (r_B at the orthogonal outage rate). This is `nonorthogonal_region` at
+    one point.
     """
-    cfg = table.cfg
-    op = operating_point(cfg)
-    if not 0 <= r_B <= op.r_B_out * (1.0 + 1e-12):
-        raise ValueError(f"r_B must lie in [0, r_B_out={op.r_B_out:.6f}], got {r_B}")
-    if not r_M_out >= 0:
-        raise ValueError(f"r_M_out must be nonnegative, got {r_M_out}")
-    bracket = _gamma_bracket(op, r_B)
-    if bracket is None:
-        return 0.0, op.gamma_tar, None
-    V = table.embb_thresholds(r_B)
-    budget = _error_budget(cfg.M * cfg.trials, cfg.eps_M)
-    # rate 0 needs no probe: every device decodes with the broadband signal
-    # pending, which is then decoded interference-free, so the bracket's lower
-    # end meets both targets with no error. A probe's MTC thresholds are call
-    # arguments, freed when the probe returns
-    lo, best = 0.0, (bracket[0], (0, 0))
-    hi = r_M_out + RATE_TOL
-    while hi - lo > RATE_TOL:
-        mid = 0.5 * (lo + hi)
-        found = _gamma_search(table, bracket, V, table.mmtc_thresholds(mid), budget)
-        if found is None:
-            hi = mid
-        else:
-            lo, best = mid, found
-    return (lo, *best)
+    return nonorthogonal_region(table, (r_B,), r_M_out)[0][1:]
 
 
 def nonorthogonal_region(
@@ -263,11 +243,61 @@ def nonorthogonal_region(
 ) -> List[Tuple[float, float, float, Optional[Counts]]]:
     """(r_B, r_M, gamma_tar, counts) at each broadband rate of the grid: the
     largest MTC rate searched on the table below its orthogonal endpoint
-    r_M_out, with the rest of `max_mmtc_rate_nonorth`'s result."""
+    r_M_out, with the rest of `max_mmtc_rate_nonorth`'s result.
+
+    Every point bisects the same rate bracket, so the points walk one tree
+    of rates, on which each rate has one place, and a level of the walk
+    holds each point's next probe. The points are answered together, level
+    by level: the MTC thresholds of each distinct rate of a level are built
+    once and freed before the next rate's, and every point waiting on that
+    rate runs its target-SNR search on them. Each point's probes and result
+    are those of a search on its own.
+    """
     grid = [float(r) for r in r_B_grid]
     if not grid:
         raise ValueError("r_B_grid must not be empty")
-    return [(r_B, *max_mmtc_rate_nonorth(table, r_B, r_M_out)) for r_B in grid]
+    cfg = table.cfg
+    op = operating_point(cfg)
+    for r_B in grid:
+        if not 0 <= r_B <= op.r_B_out * (1.0 + 1e-12):
+            raise ValueError(f"r_B must lie in [0, r_B_out={op.r_B_out:.6f}], got {r_B}")
+    if not r_M_out >= 0:
+        raise ValueError(f"r_M_out must be nonnegative, got {r_M_out}")
+    budget = _error_budget(cfg.M * cfg.trials, cfg.eps_M)
+    # each distinct r_B with a nonempty target-SNR bracket -> (the bracket,
+    # its broadband threshold); equal grid points share one search
+    searches = {}
+    for r_B in grid:
+        gammas = _gamma_bracket(op, r_B)
+        if gammas is not None:
+            searches[r_B] = (gammas, rate_threshold(r_B))
+    # per search, [lo, hi] with rate lo feasible and hi not, and the (target
+    # SNR, counts) that accepted lo. Rate 0 needs no probe: every device
+    # decodes with the broadband signal pending, which is then decoded
+    # interference-free, so the bracket's lower end meets both targets with no
+    # error
+    rates = {r_B: [0.0, r_M_out + RATE_TOL] for r_B in searches}
+    best = {r_B: (gammas[0], (0, 0)) for r_B, (gammas, _) in searches.items()}
+    while True:
+        waiting = {}
+        for r_B, (lo, hi) in rates.items():
+            if hi - lo > RATE_TOL:
+                waiting.setdefault(0.5 * (lo + hi), []).append(r_B)
+        if not waiting:
+            break
+        for mid, points in waiting.items():
+            mtc = table.mmtc_thresholds(mid)
+            for r_B in points:
+                found = _gamma_search(table, *searches[r_B], mtc, budget)
+                if found is None:
+                    rates[r_B][1] = mid
+                else:
+                    rates[r_B][0], best[r_B] = mid, found
+            del mtc  # before the next rate's: one set of MTC thresholds alive
+    return [
+        (r_B, rates[r_B][0], *best[r_B]) if r_B in searches else (r_B, 0.0, op.gamma_tar, None)
+        for r_B in grid
+    ]
 
 
 def _next_count(lo: int, hi: Optional[int]) -> Optional[int]:
@@ -352,7 +382,7 @@ def max_devices(
             else:
                 if mtc is None:
                     mtc = table.mmtc_thresholds(r_M)
-                ok = _gamma_search(table, gammas, table.embb_thresholds(r_B), mtc,
+                ok = _gamma_search(table, gammas, rate_threshold(r_B), mtc,
                                    budget) is not None
             brackets[i][0 if ok else 1] = m
         del table, mtc  # before the next build: one table and its thresholds alive

@@ -33,39 +33,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def count_events(monkeypatch):
     """Every threshold build and count on the non-orthogonal count seam, in
-    call order: ("V", L, r_B) per `TrialTable.embb_thresholds`, ("U", L,
-    r_M) per `TrialTable.mmtc_thresholds` and ("count", L, r_M, r_B,
-    gamma_tar) per `TrialTable.threshold_counts`."""
+    call order: ("U", L, r_M) per `TrialTable.mmtc_thresholds` and ("count",
+    L, r_M, thr_B, gamma_tar) per `TrialTable.threshold_counts`, with thr_B
+    the broadband threshold 2^r_B - 1 it was passed."""
     events = []
     rate_of = {}  # id of a threshold build -> (the build, kept alive; its rate)
+    build = TrialTable.mmtc_thresholds
 
-    def recording(kind, build):
-        def wrapped(self, rate):
-            found = build(self, rate)
-            rate_of[id(found)] = (found, rate)
-            events.append((kind, self.cfg.L, rate))
-            return found
-        return wrapped
+    def recording(self, rate):
+        found = build(self, rate)
+        rate_of[id(found)] = (found, rate)
+        events.append(("U", self.cfg.L, rate))
+        return found
 
-    def counting(self, mtc, V, gamma_tar, _count=TrialTable.threshold_counts):
-        events.append(("count", self.cfg.L, rate_of[id(mtc)][1], rate_of[id(V)][1], gamma_tar))
-        return _count(self, mtc, V, gamma_tar)
+    def counting(self, mtc, thr_B, gamma_tar, _count=TrialTable.threshold_counts):
+        events.append(("count", self.cfg.L, rate_of[id(mtc)][1], thr_B, gamma_tar))
+        return _count(self, mtc, thr_B, gamma_tar)
 
-    monkeypatch.setattr(TrialTable, "embb_thresholds",
-                        recording("V", TrialTable.embb_thresholds))
-    monkeypatch.setattr(TrialTable, "mmtc_thresholds",
-                        recording("U", TrialTable.mmtc_thresholds))
+    monkeypatch.setattr(TrialTable, "mmtc_thresholds", recording)
     monkeypatch.setattr(TrialTable, "threshold_counts", counting)
     return events
 
 
 def assert_thresholds_built_once(events):
-    """`count_events` of rate searches count no (L, r_M, r_B, gamma_tar)
-    twice, build the broadband thresholds once per (L, r_B) and the MTC
-    thresholds once per rate probe: per run of counts at one (L, r_M, r_B)."""
+    """`count_events` of rate searches count no (L, r_M, thr_B, gamma_tar)
+    twice and build the MTC thresholds once per (L, r_M), whose counts all
+    follow that build before the next one: a table's points share each
+    probed rate's thresholds, and one set is in use at a time."""
     counts = [event[1:] for event in events if event[0] == "count"]
     assert len(counts) == len(set(counts))
-    runs = [c[:3] for i, c in enumerate(counts) if i == 0 or c[:3] != counts[i - 1][:3]]
-    assert [event[1:] for event in events if event[0] == "U"] == [run[:2] for run in runs]
-    points = list(dict.fromkeys((c[0], c[2]) for c in counts))
-    assert [event[1:] for event in events if event[0] == "V"] == points
+    builds = [event[1:] for event in events if event[0] == "U"]
+    assert len(builds) == len(set(builds))
+    runs = [c[:2] for i, c in enumerate(counts) if i == 0 or c[:2] != counts[i - 1][:2]]
+    assert builds == runs

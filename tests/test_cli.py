@@ -255,8 +255,7 @@ class TestRunRegion:
         # the orthogonal endpoint is read once per table and is the ceiling
         # of the non-orthogonal search; the rows print the counts the search
         # accepted, so no operating point of a table is counted twice; the
-        # broadband thresholds are built once per r_B point and the MTC ones
-        # once per rate probe
+        # MTC thresholds are built once per rate a table's points probe
         endpoints = []
         endpoint = slicesim.slicing_search.max_mmtc_rate_orth
 
@@ -278,9 +277,13 @@ class TestRunRegion:
         assert len([event for event in count_events if event[0] == "count"]) > 2 * 11
         assert_thresholds_built_once(count_events)
         # every r_B point but the last, whose target-SNR interval is empty
-        assert len([event for event in count_events if event[0] == "V"]) == 2 * 10
+        counts = [event[1:] for event in count_events if event[0] == "count"]
+        assert len({(L, thr_B) for L, _, thr_B, _ in counts}) == 2 * 10
+        # the points share their rates: fewer builds than (point, rate) probes
+        mtc_builds = [event for event in count_events if event[0] == "U"]
+        assert len(mtc_builds) < len({count[:3] for count in counts})
         # rate 0 is accepted without a probe: no MTC thresholds are built there
-        assert all(event[2] > 0 for event in count_events if event[0] == "U")
+        assert all(event[2] > 0 for event in mtc_builds)
 
     def test_small_sweep_bytes_are_pinned(self, tmp_path):
         # both modes of a fig3 sweep at L = 1, 8 on 2000 trials of seed 1
@@ -291,6 +294,27 @@ class TestRunRegion:
                 "--seed", "1", "--out", str(out)]
         assert main(argv) == 0
         assert out.read_bytes() == REGION_CSV.read_bytes()
+
+    def test_dense_low_l_bytes_are_pinned(self, tmp_path, count_events):
+        # 41 r_B points at L = 2 on 2000 trials of seed 1, whose rate probes
+        # share the walk's rates and then part ways
+        cfg = tmp_path / "l2.cfg"
+        cfg.write_text("L = 2\nalpha_points = 2\nr_b_points = 41\n")
+        out = tmp_path / "region.csv"
+        argv = ["region", "--preset", "fig3", "--config", str(cfg), "--trials", "2000",
+                "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (REGION_CSV.parent / "region_l2_41.csv").read_bytes()
+        assert_thresholds_built_once(count_events)
+        mtc_builds = [event for event in count_events if event[0] == "U"]
+        paths = {}  # per point (its thr_B), the rates it probed
+        for event in count_events:
+            if event[0] == "count":
+                paths.setdefault(event[3], set()).add(event[2])
+        assert len(paths) == 40  # every point but r_B_out
+        # the paths part ways, and the points share the builds of their rates
+        assert len({frozenset(rates) for rates in paths.values()}) > 1
+        assert len(mtc_builds) < sum(len(rates) for rates in paths.values())
 
     def test_deterministic_output(self):
         spec = parse_spec(

@@ -14,7 +14,7 @@ from scipy.special import gammainc
 from scipy.stats import binomtest, norm
 
 from slicesim import monte_carlo
-from slicesim.channel import SystemConfig, draw_realization
+from slicesim.channel import SystemConfig, draw_realization, rate_threshold
 from slicesim.cli import _nonorth_stats
 from slicesim.embb_analysis import operating_point
 from slicesim.monte_carlo import (
@@ -29,6 +29,7 @@ from slicesim.slicing_search import (
     _gamma_bracket,
     max_mmtc_rate_nonorth,
     max_mmtc_rate_orth,
+    nonorthogonal_region,
 )
 
 
@@ -157,8 +158,8 @@ class TestNonorthPass:
     @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 200)])
     def test_one_pass_answers_every_rate_as_the_replay(self, L, M):
         # the shapes of TestRouteEquivalence: M = 200 spans two chunks. At
-        # each r_B one set of broadband thresholds and, per rate, one set of
-        # MTC thresholds answer the bracket's two ends and its geometric
+        # each r_B its broadband threshold and, per rate, one set of MTC
+        # thresholds answer the bracket's two ends and its geometric
         # middle at r_M = 0 (k == M), the r_M the search accepts there,
         # random rates and r_M = 20 (k == 0)
         cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else two_chunks(L, M))
@@ -171,13 +172,13 @@ class TestNonorthPass:
             lo, hi = _gamma_bracket(op, r_B)
             accepted = max_mmtc_rate_nonorth(table, r_B, r_M_out)[0]
             rates = [0.0, accepted, 20.0, *rng.uniform(0.0, 2.5, 4)]
-            V = table.embb_thresholds(r_B)
+            thr_B = rate_threshold(r_B)
             for r_M in rates:
                 mtc = table.mmtc_thresholds(r_M)
                 assert mtc[1].tolist() == table.orth_decoded(r_M).tolist()
                 for gamma in (lo, float(np.sqrt(lo * hi)), hi):
                     want = replay_counts(table, r_M, r_B, gamma)
-                    found = table.threshold_counts(mtc, V, gamma)
+                    found = table.threshold_counts(mtc, thr_B, gamma)
                     assert found == want, (r_B, gamma, r_M)
                     assert table.nonorth_error_counts(r_M, r_B, gamma) == want
 
@@ -262,7 +263,9 @@ class TestBoundaryInclusive:
         assert (table.interf[0, 0], table.d[0]) == ((G[:, 0] @ G[:, 1]) ** 2, g_B @ g_B)
         with np.errstate(all="raise"):
             U, orth_decoded = table.mmtc_thresholds(1.0)
-            assert U[0, 0] == np.inf and U[0, 1] < 1.125 < table.embb_thresholds(1.0)[0, 1]
+            # the broadband attempt after device 0 needs (b_suffix + d) thr_B / d
+            least = (table.b_suffix[0, 1] + table.d[0]) * rate_threshold(1.0) / table.d[0]
+            assert U[0, 0] == np.inf and U[0, 1] < 1.125 < least
             assert orth_decoded.tolist() == [1]
             assert table.mmtc_thresholds(0.0)[0].tolist() == [[np.inf, np.inf]]
             assert table.nonorth_error_counts(1.0, 1.0, 1.125) == (1, 1)
@@ -333,11 +336,11 @@ class TestDeterminism:
 
     def test_memory_check_counts_the_count_pass(self, monkeypatch):
         # at L = 1, M = 1 and T = 2^17 the table is 6 * T * 8 bytes and a
-        # chunk 16384 trials of 186 bytes; a search on the table holds U, V,
-        # the decoded counts and a count pass's transients, 61 bytes per
-        # trial and one reduction buffer, which is the larger peak
+        # chunk 16384 trials of 186 bytes; a search on the table holds U, the
+        # decoded counts and a count pass's transients, 45 bytes per trial
+        # and one reduction buffer, which is the larger peak
         T = 2**17
-        count = T * 61 + 8 * np.getbufsize()
+        count = T * 45 + 8 * np.getbufsize()
         assert monte_carlo._chunk_size(1, 4) == 16384
         assert 16384 * monte_carlo._trial_bytes(1, 4) < count
         need = 6 * T * 8 + count
@@ -361,7 +364,7 @@ class TestDeterminism:
         T = 32768
         chunk = monte_carlo._chunk_size(1, 8) * monte_carlo._trial_bytes(1, 8)
         physical = 6 * T * 8 + 2 * chunk  # the L = 2 build
-        assert T * 61 + 8 * np.getbufsize() < 2 * chunk
+        assert T * 45 + 8 * np.getbufsize() < 2 * chunk
         sysconf = lambda name: physical if name == "SC_PHYS_PAGES" else 1  # noqa: E731
         monkeypatch.setattr(monte_carlo.os, "sysconf", sysconf)
         cfg = make_cfg(L=1, M=1, trials=T)
@@ -533,14 +536,14 @@ class TestMemoryBounds:
         (2, 1, 32768), (8, 10, 10_000), (8, 60, 1000), (12, 300, 200),
     ])
     def test_search_peak_is_within_the_count_bytes(self, L, M, trials):
-        # rate searches at three r_B points and one count, on a built table
+        # the rate search of three r_B points, as the CLI runs it, and one
+        # count, on a built table
         table = build_trial_table(make_cfg(L=L, M=M, trials=trials))
         op = operating_point(table.cfg)
         r_M_out = max_mmtc_rate_orth(table)
 
         def search():
-            for fraction in (0.0, 0.3, 0.7):
-                max_mmtc_rate_nonorth(table, fraction * op.r_B_out, r_M_out)
+            nonorthogonal_region(table, [f * op.r_B_out for f in (0.0, 0.3, 0.7)], r_M_out)
             table.nonorth_error_counts(0.5 * r_M_out, 0.3 * op.r_B_out, op.gamma_tar)
 
         assert traced_peak(search) <= monte_carlo._count_bytes(trials, M)

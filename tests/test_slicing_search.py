@@ -46,8 +46,8 @@ G_M, G_B = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.0])
     pytest.param(lambda t: t.orth_decoded(NAN), id="orth_decoded"),
     pytest.param(lambda t: t.mmtc_orth_error_count(NAN), id="mmtc_orth_error_count"),
     pytest.param(lambda t: t.mmtc_thresholds(NAN), id="mmtc_thresholds"),
-    pytest.param(lambda t: t.embb_thresholds(NAN), id="embb_thresholds"),
     pytest.param(lambda t: t.nonorth_error_counts(NAN, 1.0, 50.0), id="nonorth-r_M"),
+    pytest.param(lambda t: t.nonorth_error_counts(1.0, NAN, 50.0), id="nonorth-r_B"),
     pytest.param(lambda t: max_mmtc_rate_nonorth(t, NAN, 1.0), id="max_mmtc_rate_nonorth"),
     pytest.param(lambda t: max_mmtc_rate_nonorth(t, 0.5, NAN),
                  id="max_mmtc_rate_nonorth-r_M_out"),
@@ -215,7 +215,7 @@ class TestMaxMmtcRateNonorth:
             op = operating_point(cfg)
             for r_B in np.linspace(0.0, op.r_B_out, 7)[:-1]:
                 bracket = _gamma_bracket(op, r_B)
-                found = _gamma_search(table, bracket, table.embb_thresholds(r_B),
+                found = _gamma_search(table, bracket, rate_threshold(r_B),
                                       table.mmtc_thresholds(0.0),
                                       _error_budget(M * cfg.trials, cfg.eps_M))
                 assert found == (bracket[0], (0, 0)), (seed, r_B)
@@ -263,9 +263,8 @@ class TestMaxMmtcRateNonorth:
     @pytest.mark.parametrize("L", [1, 8])
     def test_no_operating_point_is_counted_twice(self, L, count_events):
         # the count that accepts a target SNR also gives the MTC count, and
-        # the search answers as one that counts again at that SNR; the
-        # broadband thresholds are built once per r_B point and the MTC ones
-        # once per rate probe
+        # the search answers as one that counts again at that SNR; the MTC
+        # thresholds are built once per rate probe
         cfg = make_cfg(L=L, trials=2000)
         table = build_trial_table(cfg)
         op = operating_point(cfg)
@@ -276,7 +275,8 @@ class TestMaxMmtcRateNonorth:
             count_events.clear()
             assert max_mmtc_rate_nonorth(table, r_B, r_M_out)[:2] == expected
             assert_thresholds_built_once(count_events)
-            assert [event[2] for event in count_events if event[0] == "V"] == [r_B]
+            assert {event[3] for event in count_events if event[0] == "count"} == {
+                rate_threshold(r_B)}
             assert len([event for event in count_events if event[0] == "U"]) > 1, r_B
 
 
@@ -286,8 +286,8 @@ def gamma_on(table, r_B, r_M):
     bracket = _gamma_bracket(operating_point(table.cfg), r_B)
     if bracket is None:
         return None
-    found = _gamma_search(table, bracket, table.embb_thresholds(r_B),
-                          table.mmtc_thresholds(r_M), table.cfg.M * table.cfg.trials)
+    found = _gamma_search(table, bracket, rate_threshold(r_B), table.mmtc_thresholds(r_M),
+                          table.cfg.M * table.cfg.trials)
     return None if found is None else found[0]
 
 
@@ -305,6 +305,28 @@ def two_pass_max_rate(cfg, r_B, table):
         else:
             hi = mid
     return lo, best_g
+
+
+def bisect_alone(table, r_B, r_M_out):
+    """The rate search of one r_B point on its own: its rate bisection,
+    building the MTC thresholds of every probe afresh."""
+    cfg = table.cfg
+    op = operating_point(cfg)
+    bracket = _gamma_bracket(op, r_B)
+    if bracket is None:
+        return 0.0, op.gamma_tar, None
+    budget = _error_budget(cfg.M * cfg.trials, cfg.eps_M)
+    lo, best = 0.0, (bracket[0], (0, 0))
+    hi = r_M_out + RATE_TOL
+    while hi - lo > RATE_TOL:
+        mid = 0.5 * (lo + hi)
+        found = _gamma_search(table, bracket, rate_threshold(r_B),
+                              table.mmtc_thresholds(mid), budget)
+        if found is None:
+            hi = mid
+        else:
+            lo, best = mid, found
+    return (lo, *best)
 
 
 class TestNonorthogonalRegion:
@@ -349,6 +371,29 @@ class TestNonorthogonalRegion:
             assert counts[0] / (cfg.M * cfg.trials) <= cfg.eps_M
             assert counts[1] / cfg.trials <= cfg.eps_B
         assert sum(counts is not None and r_M > 0 for _, r_M, _, counts in pts) >= 3
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_walk_answers_each_point_as_its_own_search(self, L, count_events):
+        # a shuffled grid with a duplicated r_B and the r_B_out endpoint: the
+        # shared walk gives every point the tuple of its search alone and of
+        # the per-point bisection, and builds each probed rate's thresholds
+        # once, counting no operating point twice
+        cfg = make_cfg(L=L, M=4, trials=3000)
+        table = build_trial_table(cfg)
+        op = operating_point(cfg)
+        r_M_out = max_mmtc_rate_orth(table)
+        grid = [float(r) for r in np.linspace(0.0, op.r_B_out, 9)]
+        grid.append(grid[3])
+        grid = [grid[i] for i in np.random.default_rng(L).permutation(len(grid))]
+        alone = [max_mmtc_rate_nonorth(table, r_B, r_M_out) for r_B in grid]
+        assert alone == [bisect_alone(table, r_B, r_M_out) for r_B in grid]
+        count_events.clear()
+        pts = nonorthogonal_region(table, grid, r_M_out)
+        assert [p[0] for p in pts] == grid
+        assert [p[1:] for p in pts] == alone
+        assert pts[grid.index(op.r_B_out)][1:] == (0.0, op.gamma_tar, None)
+        assert sum(r_M > 0 for _, r_M, _, _ in pts) >= 4
+        assert_thresholds_built_once(count_events)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
