@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import SystemConfig, db_to_linear, rate_threshold
 from .embb_analysis import operating_point
-from .monte_carlo import build_trial_tables, wilson_half_width
+from .monte_carlo import build_trial_tables, count_trials, wilson_half_width
 from .slicing_search import (
     M_CAP,
     max_devices,
@@ -301,24 +301,40 @@ def _outage_targets(spec: ExperimentSpec) -> List[Optional[float]]:
 
 
 def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1) -> str:
-    """Outage estimates at a fixed operating point, one table per antenna
-    count, all from one sweep build after the operating point is checked."""
-    gammas = _outage_targets(spec)
-    tables = build_trial_tables(spec.scenario, spec.L_values, workers=workers)
+    """Outage estimates at a fixed operating point, one row per antenna
+    count and slicing mode, after the operating point is checked.
+
+    The error counts add up over trials, so they are counted chunk by
+    chunk (`count_trials`) and no trial table is built: what the command
+    holds does not grow with the trial budget or the antenna sweep. Mode
+    both reads the orthogonal count from the decoded counts that the
+    non-orthogonal thresholds come with.
+    """
+    gammas = dict(zip(spec.L_values, _outage_targets(spec)))
+    orth = spec.mode in ("orth", "both")
+
+    def count(table):
+        gamma = gammas[table.cfg.L]
+        if gamma is None:
+            return table.mmtc_orth_error_count(spec.r_M), 0, 0
+        mtc = table.mmtc_thresholds(spec.r_M)
+        orth_errors = table.mmtc_orth_error_count(spec.r_M, mtc[1]) if orth else 0
+        return (orth_errors,) + table.nonorth_error_counts(spec.r_M, spec.r_B, gamma, mtc)
+
+    cfg = spec.scenario  # every antenna count's M and trials
+    totals = count_trials(cfg, spec.L_values, count, workers=workers)
     rows = []
-    for table, gamma in zip(tables, gammas):
-        cfg = table.cfg
-        if spec.mode in ("orth", "both"):
+    for L, (orth_errors, *counts) in zip(spec.L_values, totals):
+        if orth:
             n = cfg.M * cfg.trials
-            p = table.mmtc_orth_error_count(spec.r_M) / n
+            p = orth_errors / n
             rows.append(
-                ("orth", cfg.L, cfg.M, spec.r_M, None, None,
+                ("orth", L, cfg.M, spec.r_M, None, None,
                  None, p, None, wilson_half_width(p, n))
             )
-        if gamma is not None:
-            counts = table.nonorth_error_counts(spec.r_M, spec.r_B, gamma)
+        if gammas[L] is not None:
             rows.append(
-                ("nonorth", cfg.L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gamma))
+                ("nonorth", L, cfg.M, spec.r_M, spec.r_B, _fmt_gamma(gammas[L]))
                 + _nonorth_stats(cfg, counts)
             )
     return _write_csv(_OUTAGE_HEADER, rows, out)

@@ -25,6 +25,13 @@ allocates its temporaries once, one `_Workspace` per worker thread: each
 chunk is drawn, transformed and reduced in a free one, which writes the
 statistics into the tables' rows.
 
+A count that adds up over trials needs no table. `count_trials` runs the
+same chunk loop (`_Chunks`) and reduces each chunk, at every L, into rows
+held by the chunk's workspace, counts them there and sums the counts per
+L, so what it holds does not grow with the trials or the antenna sweep.
+The CLI's fixed operating points are counted this way; the searches, which
+read a table many times, build one.
+
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
 count the errors of one operating point, as the CLI's rows report them;
 the estimate is errors / n with `wilson_half_width` for its 95% interval.
@@ -54,7 +61,9 @@ two different rates.
 
 from __future__ import annotations
 
+import collections
 import math
+import operator
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +78,7 @@ from .numerics import _normals_from_uniforms, keyed_uniforms
 
 __all__ = [
     "wilson_half_width", "TrialTable", "HeldDraw", "build_trial_table", "build_trial_tables",
+    "count_trials",
 ]
 
 _Z95 = 1.959963984540054
@@ -121,10 +131,13 @@ class TrialTable:
             raise ValueError("mMTC outage needs at least one MTC device (M >= 1)")
         return (self.prefix_min >= rate_threshold(r_M)).sum(axis=1)
 
-    def mmtc_orth_error_count(self, r_M: float) -> int:
+    def mmtc_orth_error_count(self, r_M: float, orth_decoded=None) -> int:
         """Device-slot failures, out of M * trials, under orthogonal
-        stop-on-failure decoding."""
-        return self.cfg.M * self.cfg.trials - int(self.orth_decoded(r_M).sum())
+        stop-on-failure decoding; orth_decoded, when given, is
+        `orth_decoded(r_M)` as `mmtc_thresholds(r_M)` returns it."""
+        if orth_decoded is None:
+            orth_decoded = self.orth_decoded(r_M)
+        return self.cfg.M * self.cfg.trials - int(orth_decoded.sum())
 
     def mmtc_thresholds(self, r_M: float):
         """(U, orth_decoded) at MTC rate r_M. U (T, M) holds, per trial and
@@ -154,9 +167,12 @@ class TrialTable:
         U -= self.interf
         U -= self.c
         U *= self.d[:, None]
-        np.divide(U, self.b, out=U, where=self.b > 0)
         unreached = self.b == 0
-        U[unreached] = np.where(U[unreached] >= 0.0, np.inf, -np.inf)
+        if unreached.any():
+            np.divide(U, self.b, out=U, where=~unreached)
+            U[unreached] = np.where(U[unreached] >= 0.0, np.inf, -np.inf)
+        else:
+            U /= self.b
         for m in range(1, cfg.M):
             np.minimum(U[:, m - 1], U[:, m], out=U[:, m])
         return U, orth_decoded
@@ -199,15 +215,18 @@ class TrialTable:
         n_dec = np.where(embb_ok, orth_decoded, k)
         return M * T - int(n_dec.sum()), T - int(embb_ok.sum())
 
-    def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float):
+    def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float, mtc=None):
         """(mMTC device-slot failures out of M * trials, broadband decode
         failures out of trials) under the interleaved procedure at (r_M, r_B,
-        gamma_tar). Requires gamma_tar > 2^r_B - 1, otherwise even the
+        gamma_tar); mtc, when given, is `mmtc_thresholds(r_M)` already
+        built. Requires gamma_tar > 2^r_B - 1, otherwise even the
         interference-free broadband attempt could never succeed."""
         thr_B = rate_threshold(r_B)
         if not gamma_tar > thr_B:
             raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
-        return self.threshold_counts(self.mmtc_thresholds(r_M), thr_B, gamma_tar)
+        if mtc is None:
+            mtc = self.mmtc_thresholds(r_M)
+        return self.threshold_counts(mtc, thr_B, gamma_tar)
 
 
 def _trial_bytes(M: int, width: int) -> int:
@@ -243,11 +262,12 @@ def _chunk_size(M: int, width: int) -> int:
     # the most trials whose workspace fits in _CHUNK_BUDGET, at most 16384;
     # a trial larger than that is a chunk of its own. The workspace is
     # reused from chunk to chunk, so the budget trades only its size against
-    # the calls per chunk. On a 2-vCPU VM (glibc 2.36, medians of six runs)
-    # the benchmark's `outage` command peaked at 101.7 MB with 2 workers and
-    # 4 MiB workspaces, 109.7 MB at 8 MiB and 125.7 MB at 16 MiB, in the
-    # same time; 2 MiB saved 0.5 MB more, and its `region` median read
-    # 0.32 s against 0.27 s. At fig5 sizes (L = 16, M = 128) a reduction
+    # the calls per chunk. On a 2-vCPU VM (glibc 2.36, medians of six runs
+    # at seed 1) the benchmark's `outage` command, which counts chunk by
+    # chunk with 2 workers, peaked at 60.0 MB in 0.60 s with 2 MiB
+    # workspaces, 64.2 MB in 0.48 s at 4 MiB, 72.3 MB in 0.42 s at 8 MiB
+    # and 88.9 MB in 0.44 s at 16 MiB; the `region` median read 0.32 s at
+    # 2 MiB against 0.27 s at 4 MiB. At fig5 sizes (L = 16, M = 128) a reduction
     # took 127-157 us per trial at 4 to 128 trials per chunk, with no trend.
     # Two workers pay for the number of chunks where one does not: L = 8
     # builds at M = 40-60 took about 20% longer at 4 MiB than at 16 MiB
@@ -281,9 +301,12 @@ class _Workspace:
     `_table_chunk` views at each table's shape. A build allocates one per
     worker thread, and each chunk takes a free one. It and what
     `_table_chunk` allocates beside it hold at most n *
-    `_trial_bytes(M, width)` bytes."""
+    `_trial_bytes(M, width)` bytes, and with `table_rows` n (5M + 1)
+    doubles more: the rows of a chunk's table, which a count reads."""
 
-    def __init__(self, n: int, M: int, width: int):
+    def __init__(self, n: int, M: int, width: int, table_rows: bool = False):
+        # a chunk's trial-table rows, which `_chunk_rows` views
+        self.rows = np.empty(n * (5 * M + 1)) if table_rows else None
         # the flat index of each trial's first device, per device
         self.row_starts = np.repeat(M * np.arange(n), M).reshape(n, M)
         self.draw = np.empty((n, width))  # uniforms, then normals, in place
@@ -373,59 +396,152 @@ def _table_chunk(cfg: SystemConfig, Z: np.ndarray, ws: _Workspace, out) -> None:
     np.copyto(d, power.real)
 
 
+def _reserve(need: int, held: str) -> None:
+    # raises MemoryError, before a pass allocates anything, when the `need`
+    # bytes it will hold, which `held` names, exceed the physical memory
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise MemoryError(f"{held} exceed the {physical} bytes of physical memory")
+
+
+class _Chunks:
+    """One pass over cfg's trials in chunks, each drawn once, at the widest
+    antenna count of L_values, and handed to a reduction.
+
+    A chunk is the most trials whose workspace fits in `_CHUNK_BUDGET`
+    (`_chunk_size`). With `held`, the trials it holds are read from its
+    column prefix, or drawn into it when this pass is wider than it (see
+    `HeldDraw`); no chunk spans both its trials and later ones. At most
+    `in_flight` chunks are reduced at once, one per worker thread, each
+    through a `_Workspace` of its own. Per-trial keyed streams make every
+    chunk's normals independent of the chunking and of `workers`, which
+    only bounds the thread pool.
+    """
+
+    def __init__(self, cfg: SystemConfig, L_values: Sequence[int], workers: int = 1,
+                 held: Optional[HeldDraw] = None):
+        T, M = cfg.trials, cfg.M
+        self.cfg, self.held = cfg, held
+        self.width = width = 2 * max(L_values) * (M + 1)
+        # trials read from or drawn into `held`
+        self.held_rows, self.redraw, self.held_bytes = 0, False, 0
+        if held is not None:
+            if held.seed != cfg.seed:
+                raise ValueError(f"held draw of seed {held.seed} for a build of seed {cfg.seed}")
+            self.redraw = held.normals.shape[1] < width
+            self.held_rows = min(T, _HELD_BUDGET // (8 * width) if self.redraw
+                                 else len(held.normals))
+            self.held_bytes = (self.held_rows * width * 8 if self.redraw
+                               else held.normals.nbytes)
+        self.step = step = min(_chunk_size(M, width), T)
+        # chunks end at the held rows' end; counted, not listed: one-trial
+        # chunks of a pass far over memory would make a list as long
+        chunks = -(-self.held_rows // step) - (-(T - self.held_rows) // step)
+        self.in_flight = min(max(workers, 1), chunks)  # threads, at most one per chunk
+        self.chunk_bytes = step * _trial_bytes(M, width)
+
+    def _spans(self):
+        T, rows, step = self.cfg.trials, self.held_rows, self.step
+        for t0 in range(0, rows, step):
+            yield t0, min(t0 + step, rows)
+        for t0 in range(rows, T, step):
+            yield t0, min(t0 + step, T)
+
+    def run(self, reduce, table_rows: bool = False):
+        """Yields reduce(Z, ws, t0, t1) of every chunk of trials t0..t1, in
+        chunk order: Z is the chunk's normals at the widest L, and ws a
+        workspace that no other chunk uses meanwhile, with a chunk's
+        trial-table rows (`_chunk_rows`) when `table_rows` is set.
+
+        Workspaces and the held draw are allocated here, after the caller's
+        reservation and allocations. At most two chunks per thread are
+        submitted ahead of the one whose result is awaited, so nothing the
+        pass holds grows with the number of chunks.
+        """
+        cfg, held, width, redraw = self.cfg, self.held, self.width, self.redraw
+        rows = self.held_rows
+        # the held draw is allocated after the tables: allocated before them,
+        # it raised the `max-devices` workload's peak RSS from about 129 MB
+        # to 142 MB
+        if redraw:
+            held.normals = None  # the narrower draw is freed before the wider one
+            held.normals = np.empty((rows, width))
+        kept = None if held is None else held.normals
+        # one workspace per thread, allocated here, not in the worker
+        # threads: a worker thread allocates from a malloc arena of its own,
+        # which the C library hands back to the system less readily than the
+        # main one
+        spaces = queue.SimpleQueue()
+        for _ in range(self.in_flight):
+            spaces.put(_Workspace(self.step, cfg.M, width, table_rows))
+
+        def fill(span):
+            t0, t1 = span
+            ws = spaces.get()  # a free one: each thread holds at most one
+            try:
+                Z = kept[t0:t1, :width] if t1 <= rows else ws.draw[: t1 - t0]
+                if t1 > rows or redraw:
+                    _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, width, out=Z))
+                return reduce(Z, ws, t0, t1)
+            finally:
+                spaces.put(ws)
+
+        if self.in_flight == 1:
+            # in the calling thread, whose malloc arena returns freed memory
+            # most readily: one worker thread made the `max-devices` sweep's
+            # peak RSS 160-213 MB from run to run, against a steady 137 MB
+            for span in self._spans():
+                yield fill(span)
+            return
+        with ThreadPoolExecutor(max_workers=self.in_flight) as pool:
+            pending = collections.deque()
+            for span in self._spans():
+                pending.append(pool.submit(fill, span))
+                if len(pending) > 2 * self.in_flight:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+
+
+def _chunk_rows(ws: _Workspace, n: int, M: int) -> List[np.ndarray]:
+    # a chunk's (c, interf, b, b_suffix, d, prefix_min) for n trials in the
+    # workspace's row buffer, each (n, M) array column-major as a table's
+    nm = n * M
+    c, interf, b, b_suffix, prefix_min = (
+        ws.rows[i * nm: (i + 1) * nm].reshape((n, M), order="F") for i in range(5))
+    return [c, interf, b, b_suffix, ws.rows[5 * nm: 5 * nm + n], prefix_min]
+
+
 def build_trial_tables(
     cfg: SystemConfig, L_values: Sequence[int], workers: int = 1,
     held: Optional[HeldDraw] = None,
 ) -> List[TrialTable]:
     """Trial tables of cfg at each antenna count in L_values, in that order.
 
-    Each chunk of trials is drawn once, at the widest L, and every table is
-    reduced from its column prefix of those normals, so each table equals
-    one built on its own. The build allocates one `_Workspace` per worker
-    thread, freed on return, and each chunk takes a free one: the chunk is
-    drawn into it (or into the held rows), transformed in place, and
-    reduced through it into the tables' rows. A chunk is the most trials
-    whose workspace fits in `_CHUNK_BUDGET` (`_chunk_size`). Per-trial
-    keyed streams make the result independent of chunking and of `workers`,
-    which only bounds the thread pool used across chunks. With `held`, the
-    trials it holds are read from its column prefix, or drawn into it when
-    this build is wider than it (see `HeldDraw`); no chunk spans both its
-    trials and later ones.
+    One `_Chunks` pass: each chunk of trials is drawn once, at the widest
+    L, and every table is reduced from its column prefix of those normals
+    into its rows, so each table equals one built on its own and does not
+    depend on the chunking, on `workers` or on `held`. The workspaces are
+    freed on return.
 
-    Every table of the sweep is alive at once; builds and searches never
-    overlap. Raises MemoryError, before allocating, when the tables and the
-    held draw plus the larger of two peaks exceed the machine's physical
-    memory: the workspaces, one per chunk in flight (`_trial_bytes` per
-    trial), and the count temporaries of a search on one table
-    (`_count_bytes`).
+    Every table of the sweep is alive at once, for the searches that read
+    them after the build; builds and searches never overlap. Raises
+    MemoryError, before allocating, when the tables and the held draw plus
+    the larger of two peaks exceed the machine's physical memory: the
+    workspaces, one per chunk in flight (`_trial_bytes` per trial), and the
+    count temporaries of a search on one table (`_count_bytes`).
     """
     T, M = cfg.trials, cfg.M
-    width = 2 * max(L_values) * (M + 1)
-    rows, redraw, held_bytes = 0, False, 0  # trials read from or drawn into `held`
-    if held is not None:
-        if held.seed != cfg.seed:
-            raise ValueError(f"held draw of seed {held.seed} for a build of seed {cfg.seed}")
-        redraw = held.normals.shape[1] < width
-        rows = min(T, _HELD_BUDGET // (8 * width) if redraw else len(held.normals))
-        held_bytes = rows * width * 8 if redraw else held.normals.nbytes
-    step = min(_chunk_size(M, width), T)
-    # chunks end at the held rows' end; counted, not listed, before the check:
-    # one-trial chunks of a table far over memory would make a list as long
-    chunks = -(-rows // step) - (-(T - rows) // step)
-    in_flight = min(max(workers, 1), chunks)  # threads, at most one per chunk
+    chunks = _Chunks(cfg, L_values, workers, held)
+    in_flight, chunk_bytes, held_bytes = chunks.in_flight, chunks.chunk_bytes, chunks.held_bytes
     table_bytes = T * (5 * M + 1) * 8  # five (T, M) arrays and d, float64
-    chunk_bytes = step * _trial_bytes(M, width)
     count_bytes = _count_bytes(T, M)
-    need = (len(L_values) * table_bytes + held_bytes
-            + max(in_flight * chunk_bytes, count_bytes))
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > physical:
-        raise MemoryError(
-            f"{len(L_values)} trial table(s) of {table_bytes} bytes, a held draw of "
-            f"{held_bytes} bytes and the larger of {in_flight} chunk(s) in flight of "
-            f"{chunk_bytes} bytes and the count temporaries of {count_bytes} bytes "
-            f"exceed the {physical} bytes of physical memory"
-        )
+    _reserve(
+        len(L_values) * table_bytes + held_bytes + max(in_flight * chunk_bytes, count_bytes),
+        f"{len(L_values)} trial table(s) of {table_bytes} bytes, a held draw of "
+        f"{held_bytes} bytes and the larger of {in_flight} chunk(s) in flight of "
+        f"{chunk_bytes} bytes and the count temporaries of {count_bytes} bytes",
+    )
 
     def column():
         return np.empty((T, M), order="F")
@@ -435,45 +551,63 @@ def build_trial_tables(
                    column())
         for L in L_values
     ]
-    # the held draw is allocated after the tables: allocated before them, it
-    # raised the `max-devices` workload's peak RSS from about 129 MB to 142 MB
-    if redraw:
-        held.normals = None  # the narrower draw is freed before the wider one
-        held.normals = np.empty((rows, width))
-    kept = None if held is None else held.normals
-    bounds = [(t0, min(t0 + step, rows)) for t0 in range(0, rows, step)]
-    bounds += [(t0, min(t0 + step, T)) for t0 in range(rows, T, step)]
-    # one workspace per thread, allocated here, not in the worker threads: a
-    # worker thread allocates from a malloc arena of its own, which the C
-    # library hands back to the system less readily than the main one
-    spaces = queue.SimpleQueue()
-    for _ in range(in_flight):
-        spaces.put(_Workspace(step, M, width))
 
-    def fill(span):
-        t0, t1 = span
-        ws = spaces.get()  # a free one: each thread holds at most one
-        try:
-            Z = kept[t0:t1, :width] if t1 <= rows else ws.draw[: t1 - t0]
-            if t1 > rows or redraw:
-                _normals_from_uniforms(keyed_uniforms(cfg.seed, t0, t1 - t0, width, out=Z))
-            for tab in tables:
-                _table_chunk(tab.cfg, Z[:, : 2 * tab.cfg.L * (M + 1)], ws,
-                             [a[t0:t1] for a in (tab.c, tab.interf, tab.b, tab.b_suffix,
-                                                 tab.d, tab.prefix_min)])
-        finally:
-            spaces.put(ws)
+    def reduce(Z, ws, t0, t1):
+        for tab in tables:
+            _table_chunk(tab.cfg, Z[:, : 2 * tab.cfg.L * (M + 1)], ws,
+                         [a[t0:t1] for a in (tab.c, tab.interf, tab.b, tab.b_suffix,
+                                             tab.d, tab.prefix_min)])
 
-    if in_flight > 1:
-        with ThreadPoolExecutor(max_workers=in_flight) as pool:
-            list(pool.map(fill, bounds))
-    else:
-        # in the calling thread, whose malloc arena returns freed memory most
-        # readily: one worker thread made the `max-devices` sweep's peak RSS
-        # 160-213 MB from run to run, against a steady 137 MB
-        for span in bounds:
-            fill(span)
+    for _ in chunks.run(reduce):
+        pass
     return tables
+
+
+def count_trials(
+    cfg: SystemConfig, L_values: Sequence[int], count, workers: int = 1
+) -> List[tuple]:
+    """Per antenna count in L_values, the sum over every chunk of trials of
+    count(table), where table is the chunk's `TrialTable` at that L and
+    count returns a tuple of integers. Equal to count on the whole table
+    of each L for any count that adds up per trial, as the error counts
+    do, without building the whole table.
+
+    One `_Chunks` pass, as in `build_trial_tables`, whose reduction writes
+    each L's statistics into the chunk rows of its workspace, one set per
+    worker reused across the L's, and counts them there. What the pass
+    holds is the workspaces, each with its chunk rows and one count's
+    temporaries (`_count_bytes` at a chunk's trials), whatever the number
+    of trials; it raises MemoryError before allocating when those exceed
+    the machine's physical memory.
+    """
+    M = cfg.M
+    chunks = _Chunks(cfg, L_values, workers)
+    in_flight, chunk_bytes, step = chunks.in_flight, chunks.chunk_bytes, chunks.step
+    rows_bytes = step * (5 * M + 1) * 8
+    count_bytes = _count_bytes(step, M)
+    _reserve(
+        in_flight * (chunk_bytes + rows_bytes + count_bytes),
+        f"{in_flight} chunk(s) in flight of {chunk_bytes} bytes, each with trial-table "
+        f"rows of {rows_bytes} bytes and count temporaries of {count_bytes} bytes",
+    )
+
+    full = [replace(cfg, L=L, trials=step) for L in L_values]  # a full chunk's
+
+    def reduce(Z, ws, t0, t1):
+        n = t1 - t0
+        rows = _chunk_rows(ws, n, M)
+        counts = []
+        for at_L in full:
+            table = TrialTable(at_L if n == step else replace(at_L, trials=n), *rows)
+            _table_chunk(at_L, Z[:, : 2 * at_L.L * (M + 1)], ws, rows)
+            counts.append(count(table))
+        return counts
+
+    totals = [None] * len(L_values)
+    for counts in chunks.run(reduce, table_rows=True):
+        totals = [c if t is None else tuple(map(operator.add, t, c))
+                  for t, c in zip(totals, counts)]
+    return totals
 
 
 def build_trial_table(

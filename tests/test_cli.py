@@ -47,19 +47,24 @@ def rows_of(text):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """(L, M) of every trial table that `cli`'s sweep builds or the device
-    search builds, in the order asked for."""
+    """(L, M) of every trial table that `cli`'s sweep builds or counts chunk
+    by chunk, or the device search builds, in the order asked for."""
     built = []
 
     def sweep(cfg, L_values, _build=slicesim.cli.build_trial_tables, **kw):
         built.extend((L, cfg.M) for L in L_values)
         return _build(cfg, L_values, **kw)
 
+    def counted(cfg, L_values, count, _count=slicesim.cli.count_trials, **kw):
+        built.extend((L, cfg.M) for L in L_values)
+        return _count(cfg, L_values, count, **kw)
+
     def single(cfg, _build=slicesim.slicing_search.build_trial_table, **kw):
         built.append((cfg.L, cfg.M))
         return _build(cfg, **kw)
 
     monkeypatch.setattr(slicesim.cli, "build_trial_tables", sweep)
+    monkeypatch.setattr(slicesim.cli, "count_trials", counted)
     monkeypatch.setattr(slicesim.slicing_search, "build_trial_table", single)
     return built
 
@@ -404,7 +409,7 @@ class TestRunOutage:
     def test_one_table_per_antenna_count(self, builds):
         text = GOOD_CONFIG.replace("L = 2", "L = 1,2") + "mode = both\nr_M = 0.5\nr_B = 1.0\n"
         run_outage(parse_spec("outage", text))
-        # mode both evaluates both slicing modes on one table
+        # mode both counts both slicing modes in one pass over the trials
         assert builds == [(1, 3), (2, 3)]
 
     def test_sweep_bytes_are_pinned(self, tmp_path):
@@ -536,7 +541,15 @@ class TestMainExitCodes:
     def test_table_over_memory_is_1(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(GOOD_CONFIG.replace("M = 3", "M = 4096") + "r_M = 0.5\nr_B = 1.0\n")
-        assert main(["outage", "--config", str(cfg), "--trials", str(10**8)]) == 1
+        assert main(["region", "--config", str(cfg), "--trials", str(10**8)]) == 1
+        assert "bytes" in capsys.readouterr().err
+
+    def test_outage_trial_over_memory_is_1(self, tmp_path, capsys):
+        # outage holds no table, only one chunk per worker: at M = 10^5 a
+        # one-trial chunk's Gram block alone is 160 GB
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("M = 3", f"M = {10**5}") + "r_M = 0.5\nr_B = 1.0\n")
+        assert main(["outage", "--config", str(cfg), "--trials", "1"]) == 1
         assert "bytes" in capsys.readouterr().err
 
     def test_byte_identical_across_worker_counts(self, tmp_path):

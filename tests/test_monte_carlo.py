@@ -15,7 +15,7 @@ from scipy.stats import binomtest, norm
 
 from slicesim import monte_carlo
 from slicesim.channel import SystemConfig, draw_realization, rate_threshold
-from slicesim.cli import _nonorth_stats
+from slicesim.cli import _nonorth_stats, parse_spec, run_outage
 from slicesim.embb_analysis import operating_point
 from slicesim.monte_carlo import (
     TrialTable,
@@ -334,6 +334,31 @@ class TestDeterminism:
         with pytest.raises(MemoryError, match="physical memory"):
             build_trial_table(make_cfg(M=4096, trials=10**8))
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("L_values,M,trials", [
+        # 55 chunks at the L = 16 width, the last one 20 trials short; at
+        # L = 1, one chunk of all 777 trials, fewer than a chunk can hold
+        ((1, 8, 16), 10, 20_000), ((1,), 5, 777),
+    ])
+    def test_counts_are_those_of_the_whole_tables(self, workers, L_values, M, trials):
+        # every count of both slicing modes, summed over the chunks, equals
+        # the count on the whole table of each L, and each L has a count
+        # that is neither 0 nor every device slot
+        cfg = make_cfg(M=M, trials=trials)
+
+        def count(table):
+            counts = ()
+            for r_M in (0.4, 1.5):
+                mtc = table.mmtc_thresholds(r_M)
+                counts += (table.mmtc_orth_error_count(r_M),
+                           table.mmtc_orth_error_count(r_M, mtc[1]))
+                counts += table.nonorth_error_counts(r_M, 2.0, 60.0, mtc)
+            return counts + table.nonorth_error_counts(1.5, 2.0, 60.0)
+
+        want = [count(table) for table in build_trial_tables(cfg, L_values)]
+        assert monte_carlo.count_trials(cfg, L_values, count, workers) == want
+        assert all(any(0 < n < M * trials for n in counts) for counts in want)
+
     def test_memory_check_counts_the_count_pass(self, monkeypatch):
         # at L = 1, M = 1 and T = 2^17 the table is 6 * T * 8 bytes and a
         # chunk 16384 trials of 186 bytes; a search on the table holds U, the
@@ -467,22 +492,30 @@ class TestDeterminism:
 
     def test_workspaces_are_not_shared_under_thread_switching(self):
         # four workers, switching threads every microsecond, over 11 chunks:
-        # a workspace that two chunks used at once would corrupt a table, and
-        # a workspace not handed back would stall the build
+        # a workspace that two chunks used at once would corrupt a table or
+        # a chunk's rows and so its counts, and a workspace not handed back
+        # would stall the pass
         cfg = make_cfg(M=10, trials=4000)
         assert chunk_count(cfg, (1, 8, 16)) > 4
         want = build_trial_tables(cfg, (1, 8, 16))
+
+        def count(table):
+            return (table.mmtc_orth_error_count(0.9),) + table.nonorth_error_counts(0.9, 2.0, 60.0)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         pool = ThreadPoolExecutor(max_workers=1)
         try:
             got = pool.submit(build_trial_tables, cfg, (1, 8, 16), 4).result(timeout=120)
+            counts = pool.submit(monte_carlo.count_trials, cfg, (1, 8, 16), count,
+                                 4).result(timeout=120)
         finally:
             pool.shutdown(wait=False)
             sys.setswitchinterval(interval)
         for a, b in zip(want, got):
             for name in ("c", "interf", "b", "b_suffix", "d", "prefix_min"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert counts == [count(table) for table in want]
 
     @pytest.mark.parametrize("M", [0, 1, 10, 64, 300, 1000, 2047, 2048, 4096])
     def test_chunk_is_the_most_trials_within_the_budget(self, M):
@@ -519,7 +552,9 @@ class TestMemoryBounds:
     @pytest.mark.parametrize("L_values,M", [
         *(pytest.param((L,), M, id=f"L{L}-M{M}")
           for L in (1, 2, 8, 12, 16) for M in (1, 10, 60, 300)),
-        # the region and outage workloads' sweeps; max-devices builds L = 8
+        # the region workload's sweep, and the outage workload's antenna
+        # counts, whose chunks count_trials reduces the same way; max-devices
+        # builds L = 8
         pytest.param((1, 8), 10, id="region"),
         pytest.param((1, 8, 16), 10, id="outage"),
     ])
@@ -547,6 +582,37 @@ class TestMemoryBounds:
             table.nonorth_error_counts(0.5 * r_M_out, 0.3 * op.r_B_out, op.gamma_tar)
 
         assert traced_peak(search) <= monte_carlo._count_bytes(trials, M)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outage_peak_does_not_grow_with_trials(self, tmp_path, monkeypatch, workers):
+        # the benchmark's outage shape (L = 1, 8, 16, M = 10, both modes) at
+        # 2 and at 16 chunks of trials. The command counts chunk by chunk
+        # and holds, per worker, a workspace, one chunk's table rows and one
+        # count's temporaries, however many chunks it counts; its memory
+        # check reserves exactly those
+        M, width = 10, 2 * 16 * 11
+        step = monte_carlo._chunk_size(M, width)
+        rows = step * (5 * M + 1) * 8
+        reserved = workers * (step * monte_carlo._trial_bytes(M, width) + rows
+                              + monte_carlo._count_bytes(step, M))
+        text = "r_M = 1.0\nr_B = 4.0\nL = 1,8,16\n"
+        out = str(tmp_path / "outage.csv")
+        peaks = []
+        for chunks in (2, 16):
+            spec = parse_spec("outage", text, "fig3", seed=1, trials=chunks * step)
+            peaks.append(traced_peak(lambda: run_outage(spec, out, workers)))
+        assert max(peaks) <= reserved
+        assert peaks[1] <= peaks[0] + rows
+
+        def physical(n):
+            sysconf = lambda name: n if name == "SC_PHYS_PAGES" else 1  # noqa: E731
+            monkeypatch.setattr(monte_carlo.os, "sysconf", sysconf)
+
+        physical(reserved - 1)
+        with pytest.raises(MemoryError, match=f"{workers} chunk"):
+            run_outage(spec, out, workers)
+        physical(reserved)
+        run_outage(spec, out, workers)
 
     def test_max_devices_peak_is_within_its_reservation(self, monkeypatch):
         # the benchmark's max-devices shape (L = 8, 1000 trials), whose widest
@@ -588,6 +654,24 @@ class TestMemoryBounds:
             search.max_devices(cfg, 0.25, points)
         physical(need)
         assert search.max_devices(cfg, 0.25, points) == want
+
+
+class TestMmtcThresholds:
+    @pytest.mark.parametrize("L,M,r_M", [(1, 1, 0.7), (4, 10, 0.4), (16, 10, 1.0)])
+    def test_plain_division_is_the_masked_formula(self, L, M, r_M):
+        # with every coupling positive the thresholds divide by b without a
+        # mask, and equal the masked formula that a zero coupling needs
+        table = build_trial_table(make_cfg(L=L, M=M, trials=2000))
+        assert (table.b > 0).all()
+        U, orth_decoded = table.mmtc_thresholds(r_M)
+        want = table.cfg.P_M * table.c * table.c / rate_threshold(r_M) - table.interf - table.c
+        want *= table.d[:, None]
+        np.divide(want, table.b, out=want, where=table.b > 0)
+        unreached = table.b == 0
+        want[unreached] = np.where(want[unreached] >= 0.0, np.inf, -np.inf)
+        np.minimum.accumulate(want, axis=1, out=want)
+        assert np.array_equal(U, want)
+        assert np.array_equal(orth_decoded, table.orth_decoded(r_M))
 
 
 class TestOrthogonalEstimator:
