@@ -306,20 +306,21 @@ def run_outage(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
 
     The error counts add up over trials, so they are counted chunk by
     chunk (`count_trials`) and no trial table is built: what the command
-    holds does not grow with the trial budget or the antenna sweep. Mode
-    both reads the orthogonal count from the decoded counts that the
-    non-orthogonal thresholds come with.
+    holds does not grow with the trial budget or the antenna sweep. Per
+    chunk and antenna count, the orthogonal count is
+    `mmtc_orth_error_count` and the non-orthogonal one
+    `nonorth_error_counts` on the MTC thresholds at r_M.
     """
     gammas = dict(zip(spec.L_values, _outage_targets(spec)))
     orth = spec.mode in ("orth", "both")
 
     def count(table):
+        orth_errors = table.mmtc_orth_error_count(spec.r_M) if orth else 0
         gamma = gammas[table.cfg.L]
         if gamma is None:
-            return table.mmtc_orth_error_count(spec.r_M), 0, 0
+            return (orth_errors,)
         mtc = table.mmtc_thresholds(spec.r_M)
-        orth_errors = table.mmtc_orth_error_count(spec.r_M, mtc[1]) if orth else 0
-        return (orth_errors,) + table.nonorth_error_counts(spec.r_M, spec.r_B, gamma, mtc)
+        return (orth_errors,) + table.nonorth_error_counts(mtc, spec.r_B, gamma)
 
     cfg = spec.scenario  # every antenna count's M and trials
     totals = count_trials(cfg, spec.L_values, count, workers=workers)
@@ -383,7 +384,6 @@ def run_region(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1
 def run_max_devices(spec: ExperimentSpec, out: Optional[str] = None, workers: int = 1) -> str:
     """Largest supportable device count over an r_B grid (default r_M 0.25)."""
     r_M = spec.r_M if spec.r_M is not None else 0.25
-    tokens = {"orthogonal": "orth", "non_orthogonal": "nonorth"}
     rows = []
     for L in spec.L_values:
         cfg = replace(spec.scenario, L=L)
@@ -391,12 +391,12 @@ def run_max_devices(spec: ExperimentSpec, out: Optional[str] = None, workers: in
         grid = np.linspace(0.0, op.r_B_out, spec.r_b_points)
         points = [
             (float(r_B), mode)
-            for mode, token in tokens.items()
-            if spec.mode in (token, "both")
+            for mode in ("orth", "nonorth")
+            if spec.mode in (mode, "both")
             for r_B in grid
         ]
         m_max = max_devices(cfg, r_M, points, workers=workers)
-        rows.extend((tokens[mode], L, r_B, m) for (r_B, mode), m in zip(points, m_max))
+        rows.extend((mode, L, r_B, m) for (r_B, mode), m in zip(points, m_max))
     return _write_csv(["mode", "L", "r_B", "M_max"], rows, out)
 
 

@@ -33,14 +33,13 @@ The CLI's fixed operating points are counted this way; the searches, which
 read a table many times, build one.
 
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
-count the errors of one operating point, as the CLI's rows report them;
-the estimate is errors / n with `wilson_half_width` for its 95% interval.
-The searches read the threshold methods below instead, and the orthogonal
-endpoint reads the running-minimum SINRs `prefix_min`. With M = 0 the
-table holds only the broadband received powers `d`, which is all the
-truncated-inversion analysis needs. The per-realization decoders in
-`sic_decoder` are the reference; the test suite checks exact,
-count-level agreement between the two routes.
+count the errors of one operating point, for the CLI's rows and for the
+searches alike; the estimate is errors / n with `wilson_half_width` for
+its 95% interval. The orthogonal endpoint reads the running-minimum SINRs
+`prefix_min`. With M = 0 the table holds only the broadband received
+powers `d`, which is all the truncated-inversion analysis needs. The
+per-realization decoders in `sic_decoder` are the reference; the test
+suite checks exact, count-level agreement between the two routes.
 
 A non-orthogonal count compares per-trial target-SNR thresholds. Each
 SINR of the interleaved procedure is monotone in the broadband target SNR
@@ -48,15 +47,16 @@ gamma, so each decode step is a threshold on gamma:
 `TrialTable.mmtc_thresholds(r_M)` holds, per trial and SIC position, the
 largest gamma at which the devices up to it decode with the broadband
 signal pending. It depends only on the MTC rate, so a search builds it
-once per rate, and `TrialTable.threshold_counts` answers each probed gamma
-with one comparison pass: the count of thresholds at or above gamma is a
-trial's devices decoded before its broadband attempt, and the pass reads
-from the table, at that count only, the least gamma at which the attempt
-succeeds at broadband rate r_B, so nothing of size (T, M) is built per
-broadband rate. The MTC thresholds come paired with the orthogonal
-decoded count at the same rate, which a trial reaches once its broadband
-attempt succeeds, so a count never sees thresholds and decoded counts of
-two different rates.
+once per rate, and `TrialTable.nonorth_error_counts(mtc, r_B, gamma)`
+answers each probed (r_B, gamma) with one comparison pass against it: the
+count of thresholds at or above gamma is a trial's devices decoded before
+its broadband attempt, and the pass reads from the table, at that count
+only, the least gamma at which the attempt succeeds at broadband rate r_B,
+so nothing of size (T, M) is built per broadband rate. The MTC thresholds
+come paired with the orthogonal decoded count at the same rate,
+`orth_decoded(r_M)`, which a trial reaches once its broadband attempt
+succeeds, so a count never sees thresholds and decoded counts of two
+different rates.
 """
 
 from __future__ import annotations
@@ -131,13 +131,10 @@ class TrialTable:
             raise ValueError("mMTC outage needs at least one MTC device (M >= 1)")
         return (self.prefix_min >= rate_threshold(r_M)).sum(axis=1)
 
-    def mmtc_orth_error_count(self, r_M: float, orth_decoded=None) -> int:
+    def mmtc_orth_error_count(self, r_M: float) -> int:
         """Device-slot failures, out of M * trials, under orthogonal
-        stop-on-failure decoding; orth_decoded, when given, is
-        `orth_decoded(r_M)` as `mmtc_thresholds(r_M)` returns it."""
-        if orth_decoded is None:
-            orth_decoded = self.orth_decoded(r_M)
-        return self.cfg.M * self.cfg.trials - int(orth_decoded.sum())
+        stop-on-failure decoding."""
+        return self.cfg.M * self.cfg.trials - int(self.orth_decoded(r_M).sum())
 
     def mmtc_thresholds(self, r_M: float):
         """(U, orth_decoded) at MTC rate r_M. U (T, M) holds, per trial and
@@ -177,22 +174,25 @@ class TrialTable:
             np.minimum(U[:, m - 1], U[:, m], out=U[:, m])
         return U, orth_decoded
 
-    def threshold_counts(self, mtc, thr_B: float, gamma_tar: float):
+    def nonorth_error_counts(self, mtc, r_B: float, gamma_tar: float):
         """(mMTC device-slot failures out of M * trials, broadband decode
-        failures out of trials) at target SNR gamma_tar, from mtc =
-        `mmtc_thresholds(r_M)` and the broadband threshold thr_B = 2^r_B - 1:
-        one comparison pass per target SNR. Requires gamma_tar > thr_B, as
-        `nonorth_error_counts` checks and every admissible target-SNR bracket
-        of the searches holds.
+        failures out of trials) under the interleaved procedure at broadband
+        rate r_B and target SNR gamma_tar, from mtc = `mmtc_thresholds(r_M)`
+        at MTC rate r_M: one comparison pass per target SNR. Requires
+        gamma_tar > 2^r_B - 1, otherwise even the interference-free
+        broadband attempt could never succeed.
 
         The broadband device is conservatively always active: per trial it
         transmits at gamma / ||g_B||^2 with no truncation, so its error is
         purely a decoding error. An attempt after k < M decoded devices faces
         devices k.. (b_suffix) with SINR gamma d / (b_suffix_k + d), which
-        reaches thr_B iff gamma >= (b_suffix_k + d) thr_B / d, the least
-        target SNR read here at each trial's k; after k == M it comes last,
-        interference-free, and succeeds iff gamma >= thr_B.
+        reaches thr_B = 2^r_B - 1 iff gamma >= (b_suffix_k + d) thr_B / d,
+        the least target SNR read here at each trial's k; after k == M it
+        comes last, interference-free, and succeeds iff gamma >= thr_B.
         """
+        thr_B = rate_threshold(r_B)
+        if not gamma_tar > thr_B:
+            raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
         T, M = self.cfg.trials, self.cfg.M
         U, orth_decoded = mtc
         # U is nonincreasing along each trial, so the count of entries at or
@@ -214,19 +214,6 @@ class TrialTable:
         # lower an SINR, so that failure is at or after k: the orthogonal count
         n_dec = np.where(embb_ok, orth_decoded, k)
         return M * T - int(n_dec.sum()), T - int(embb_ok.sum())
-
-    def nonorth_error_counts(self, r_M: float, r_B: float, gamma_tar: float, mtc=None):
-        """(mMTC device-slot failures out of M * trials, broadband decode
-        failures out of trials) under the interleaved procedure at (r_M, r_B,
-        gamma_tar); mtc, when given, is `mmtc_thresholds(r_M)` already
-        built. Requires gamma_tar > 2^r_B - 1, otherwise even the
-        interference-free broadband attempt could never succeed."""
-        thr_B = rate_threshold(r_B)
-        if not gamma_tar > thr_B:
-            raise ValueError(f"gamma_tar={gamma_tar} must exceed 2^r_B - 1 = {thr_B}")
-        if mtc is None:
-            mtc = self.mmtc_thresholds(r_M)
-        return self.threshold_counts(mtc, thr_B, gamma_tar)
 
 
 def _trial_bytes(M: int, width: int) -> int:

@@ -9,7 +9,9 @@ For the k-th device in the SIC order, with channel column g_k, the
 where the noise term ||g_k||^2 comes from projecting unit-power noise and
 the interference collects P' |g_k^H g_j|^2 over every signal still in the
 waveform. A device (or the broadband signal) at rate r is decoded iff its
-SINR reaches 2^r - 1, i.e. log2(1 + SINR) >= r, boundary inclusive.
+SINR reaches 2^r - 1, i.e. log2(1 + SINR) >= r, boundary inclusive: the
+engine's rule, `channel.rate_threshold`, which no SINR meets from r = 1024
+on.
 
 Two procedures are implemented:
 
@@ -37,6 +39,8 @@ from typing import Optional
 
 import numpy as np
 
+from .channel import rate_threshold
+
 __all__ = ["DecodeOutcome", "sic_order", "decode_orthogonal", "decode_non_orthogonal"]
 
 
@@ -55,12 +59,6 @@ class DecodeOutcome:
     embb_decode_step: Optional[int] = None
 
 
-def _rate_threshold(r: float) -> float:
-    if not r >= 0:
-        raise ValueError(f"rate must be nonnegative, got {r}")
-    return 2.0**r - 1.0
-
-
 def sic_order(G_M: np.ndarray) -> np.ndarray:
     """Device indices sorted by received power ||g_m||^2, strongest first;
     ties broken by ascending original index."""
@@ -70,7 +68,7 @@ def sic_order(G_M: np.ndarray) -> np.ndarray:
 
 def decode_orthogonal(G_M: np.ndarray, P_M: float, r_M: float) -> DecodeOutcome:
     """MRC-SIC over the MTC devices alone; stop at the first failure."""
-    thr = _rate_threshold(r_M)
+    thr = rate_threshold(r_M)
     M = G_M.shape[1]
     order = sic_order(G_M)
     Gs = G_M[:, order]
@@ -98,8 +96,8 @@ def decode_non_orthogonal(
     r_B: float,
 ) -> DecodeOutcome:
     """Interleaved MRC-SIC over the MTC devices and the broadband signal."""
-    thr_M = _rate_threshold(r_M)
-    thr_B = _rate_threshold(r_B)
+    thr_M = rate_threshold(r_M)
+    thr_B = rate_threshold(r_B)
     if P_B < 0:
         raise ValueError(f"P_B must be nonnegative, got {P_B}")
     M = G_M.shape[1]

@@ -36,12 +36,13 @@ feasible value. The count that accepts a target SNR also gives the MTC
 error count checked against eps_M, and the search returns that count
 with the rate.
 
-A count compares per-trial target-SNR thresholds (`monte_carlo`): the
-MTC ones, which carry the orthogonal decoded count at the same rate,
-depend only on the MTC rate, and the count pass reads the broadband one
-from the table at each trial's decoded count, given thr_B = 2^r_B - 1.
-All r_B points of a table bisect the same rate bracket, so they walk one
-tree of rates: the rate search answers them together, level by level, and
+Every count is `TrialTable.nonorth_error_counts(mtc, r_B, gamma)`, which
+compares per-trial target-SNR thresholds (`monte_carlo`): the MTC ones,
+mtc, which carry the orthogonal decoded count at the same rate, depend
+only on the MTC rate, and the count pass reads the broadband one from the
+table at each trial's decoded count, at broadband rate r_B. All r_B
+points of a table bisect the same rate bracket, so they walk one tree of
+rates: the rate search answers them together, level by level, and
 builds each probed rate's MTC thresholds once for every point waiting on
 it, one rate's at a time. It counts each probed target SNR with one
 comparison pass against them. Rate 0 is not probed: there every device
@@ -173,32 +174,32 @@ def min_feasible_gamma_tar(cfg: SystemConfig, r_B: float, r_M: float) -> Optiona
     if bracket is None:
         return None
     table = build_trial_table(cfg)
-    found = _gamma_search(table, bracket, rate_threshold(r_B), table.mmtc_thresholds(r_M),
-                          cfg.M * cfg.trials)
+    found = _gamma_search(table, bracket, r_B, table.mmtc_thresholds(r_M), cfg.M * cfg.trials)
     return None if found is None else found[0]
 
 
 def _gamma_search(
-    table: TrialTable, bracket: Tuple[float, float], thr_B: float, mtc: MtcThresholds,
+    table: TrialTable, bracket: Tuple[float, float], r_B: float, mtc: MtcThresholds,
     mtc_budget: int,
 ) -> Optional[Tuple[float, Counts]]:
     """(target SNR, the `nonorth_error_counts` at it) accepted on the table,
     or None when the rate pair is infeasible.
 
-    Searches the nonempty admissible interval `bracket` with thr_B =
-    2^r_B - 1 at its r_B and mtc the table's `mmtc_thresholds` at its r_M.
-    The lower end is taken when its broadband errors meet eps_B, as they do
-    at r_M = 0, which the rate search therefore does not probe. Otherwise
-    the upper end must meet it, and the interval is bisected geometrically
-    to GAMMA_REL_TOL; the feasible end of the final bracket is taken. The
+    Searches the nonempty admissible interval `bracket` of broadband rate
+    r_B, with mtc the table's `mmtc_thresholds` at its r_M. The lower end
+    is taken when its broadband errors meet eps_B, as they do at r_M = 0,
+    which the rate search therefore does not probe. Otherwise the upper end
+    must meet it, and the interval is bisected geometrically to
+    GAMMA_REL_TOL; the feasible end of the final bracket is taken. The
     target SNR is accepted when the MTC errors of its count are at most
-    mtc_budget. Every probed target SNR is one `threshold_counts` pass.
+    mtc_budget. Every probed target SNR is one `nonorth_error_counts(mtc,
+    r_B, gamma)` pass.
     """
     cfg = table.cfg
     embb_budget = _error_budget(cfg.trials, cfg.eps_B)
 
     def counts(g: float) -> Counts:
-        return table.threshold_counts(mtc, thr_B, g)
+        return table.nonorth_error_counts(mtc, r_B, g)
 
     lo, hi = bracket
     at_lo = counts(lo)
@@ -264,20 +265,20 @@ def nonorthogonal_region(
     if not r_M_out >= 0:
         raise ValueError(f"r_M_out must be nonnegative, got {r_M_out}")
     budget = _error_budget(cfg.M * cfg.trials, cfg.eps_M)
-    # each distinct r_B with a nonempty target-SNR bracket -> (the bracket,
-    # its broadband threshold); equal grid points share one search
+    # each distinct r_B with a nonempty target-SNR bracket -> the bracket;
+    # equal grid points share one search
     searches = {}
     for r_B in grid:
         gammas = _gamma_bracket(op, r_B)
         if gammas is not None:
-            searches[r_B] = (gammas, rate_threshold(r_B))
+            searches[r_B] = gammas
     # per search, [lo, hi] with rate lo feasible and hi not, and the (target
     # SNR, counts) that accepted lo. Rate 0 needs no probe: every device
     # decodes with the broadband signal pending, which is then decoded
     # interference-free, so the bracket's lower end meets both targets with no
     # error
     rates = {r_B: [0.0, r_M_out + RATE_TOL] for r_B in searches}
-    best = {r_B: (gammas[0], (0, 0)) for r_B, (gammas, _) in searches.items()}
+    best = {r_B: (gammas[0], (0, 0)) for r_B, gammas in searches.items()}
     while True:
         waiting = {}
         for r_B, (lo, hi) in rates.items():
@@ -288,7 +289,7 @@ def nonorthogonal_region(
         for mid, points in waiting.items():
             mtc = table.mmtc_thresholds(mid)
             for r_B in points:
-                found = _gamma_search(table, *searches[r_B], mtc, budget)
+                found = _gamma_search(table, searches[r_B], r_B, mtc, budget)
                 if found is None:
                     rates[r_B][1] = mid
                 else:
@@ -316,8 +317,8 @@ def max_devices(
     workers: int = 1,
 ) -> List[int]:
     """Largest number of MTC devices supportable at r_M and each
-    (r_B, mode) point; cfg.M is a template value and is replaced during the
-    search.
+    (r_B, mode) point, with mode "orth" or "nonorth" as the CLI spells it;
+    cfg.M is a template value and is replaced during the search.
 
     Orthogonal mode allocates the slot fraction implied by r_B and requires
     the per-device rate r_M / (1 - alpha) during the MTC fraction, which a
@@ -343,11 +344,11 @@ def max_devices(
     for i, (r_B, mode) in enumerate(points):
         if not r_B >= 0:
             raise ValueError(f"r_B must be nonnegative, got {r_B}")
-        if mode == "orthogonal":
+        if mode == "orth":
             alpha = r_B / op.r_B_out
             if alpha < 1.0:
                 searches[i] = (r_M / (1.0 - alpha), r_B, None)
-        elif mode == "non_orthogonal":
+        elif mode == "nonorth":
             gammas = _gamma_bracket(op, r_B)
             if gammas is not None:
                 searches[i] = (r_M, r_B, gammas)
@@ -382,8 +383,7 @@ def max_devices(
             else:
                 if mtc is None:
                     mtc = table.mmtc_thresholds(r_M)
-                ok = _gamma_search(table, gammas, rate_threshold(r_B), mtc,
-                                   budget) is not None
+                ok = _gamma_search(table, gammas, r_B, mtc, budget) is not None
             brackets[i][0 if ok else 1] = m
         del table, mtc  # before the next build: one table and its thresholds alive
     result = [0] * len(points)

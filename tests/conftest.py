@@ -3,6 +3,7 @@ recorder of the non-orthogonal count seam."""
 
 import pytest
 
+from slicesim.channel import rate_threshold
 from slicesim.monte_carlo import TrialTable
 
 ACCEPTANCE_RESULTS = []  # (criterion number, label, passed, detail)
@@ -34,8 +35,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def count_events(monkeypatch):
     """Every threshold build and count on the non-orthogonal count seam, in
     call order: ("U", L, r_M) per `TrialTable.mmtc_thresholds` and ("count",
-    L, r_M, thr_B, gamma_tar) per `TrialTable.threshold_counts`, with thr_B
-    the broadband threshold 2^r_B - 1 it was passed."""
+    L, r_M, thr_B, gamma_tar) per `TrialTable.nonorth_error_counts`, with
+    thr_B the broadband threshold 2^r_B - 1 of the r_B it was passed."""
     events = []
     rate_of = {}  # id of a threshold build -> (the build, kept alive; its rate)
     build = TrialTable.mmtc_thresholds
@@ -46,13 +47,20 @@ def count_events(monkeypatch):
         events.append(("U", self.cfg.L, rate))
         return found
 
-    def counting(self, mtc, thr_B, gamma_tar, _count=TrialTable.threshold_counts):
-        events.append(("count", self.cfg.L, rate_of[id(mtc)][1], thr_B, gamma_tar))
-        return _count(self, mtc, thr_B, gamma_tar)
+    def counting(self, mtc, r_B, gamma_tar, _count=TrialTable.nonorth_error_counts):
+        events.append(("count", self.cfg.L, rate_of[id(mtc)][1], rate_threshold(r_B),
+                       gamma_tar))
+        return _count(self, mtc, r_B, gamma_tar)
 
     monkeypatch.setattr(TrialTable, "mmtc_thresholds", recording)
-    monkeypatch.setattr(TrialTable, "threshold_counts", counting)
+    monkeypatch.setattr(TrialTable, "nonorth_error_counts", counting)
     return events
+
+
+def nonorth_counts(table, r_M, r_B, gamma_tar):
+    """`TrialTable.nonorth_error_counts` at (r_M, r_B, gamma_tar), on MTC
+    thresholds built for this one count."""
+    return table.nonorth_error_counts(table.mmtc_thresholds(r_M), r_B, gamma_tar)
 
 
 def assert_thresholds_built_once(events):

@@ -188,7 +188,7 @@ def test_c09_diversity_monotonicity():
         r_out.append(max_mmtc_rate_orth(build_trial_table(cfg, workers=WORKERS)))
     rates_ok = all(a <= b for a, b in zip(r_out, r_out[1:]))
 
-    m_by_mode = {"orthogonal": [], "non_orthogonal": []}
+    m_by_mode = {"orth": [], "nonorth": []}
     for L in L_SWEEP:
         cfg = paper_cfg(L, trials=30_000)
         op = operating_point(cfg)
@@ -202,8 +202,8 @@ def test_c09_diversity_monotonicity():
     record_criterion(
         9, "rates and device counts nondecreasing in L", ok,
         f"r_M_out {['%.3f' % r for r in r_out]}; "
-        f"M_max orth {m_by_mode['orthogonal']}, "
-        f"nonorth {m_by_mode['non_orthogonal']}",
+        f"M_max orth {m_by_mode['orth']}, "
+        f"nonorth {m_by_mode['nonorth']}",
     )
     assert ok
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import nonorth_counts
 from scipy.integrate import quad
 from scipy.special import gammainc
 from scipy.stats import binomtest, norm
@@ -80,7 +81,7 @@ class TestRouteEquivalence:
         cfg = make_cfg(L=L, M=M, trials=400)
         table = build_trial_table(cfg)
         reals = [draw_realization(cfg, t) for t in range(cfg.trials)]
-        for r_M in (0.0, 0.25, 0.7, 1.4, 3.0):
+        for r_M in (0.0, 0.25, 0.7, 1.4, 3.0, 1024.0):
             fast = table.mmtc_orth_error_count(r_M)
             ref = sum(
                 M - int(decode_orthogonal(real.G_M, cfg.P_M, r_M).mtc_decoded.sum())
@@ -91,15 +92,16 @@ class TestRouteEquivalence:
     @pytest.mark.parametrize("L,M", [(1, 1), (1, 3), (2, 5), (4, 2), (12, 200)])
     def test_nonorthogonal_counts(self, L, M):
         # M = 200 at L = 12 takes two chunks of trials. r_M = 0 decodes
-        # every device first, so the broadband attempt comes last; M = 1 puts
-        # every other attempt at the last SIC position
+        # every device first, so the broadband attempt comes last; no device
+        # reaches r_M = 1024, whose threshold is +inf; M = 1 puts every
+        # other attempt at the last SIC position
         cfg = make_cfg(L=L, M=M, trials=400 if M < 100 else two_chunks(L, M))
         assert M < 100 or chunk_count(cfg, (L,)) == 2
         table = build_trial_table(cfg)
         reals = [draw_realization(cfg, t) for t in range(cfg.trials)]
         cases = [
             (0.3, 1.0, 12.0), (0.8, 2.5, 40.0), (0.1, 0.0, 1e-9), (1.5, 4.0, 200.0),
-            (0.0, 1.0, 12.0),
+            (0.0, 1.0, 12.0), (1024.0, 1.0, 12.0),
         ]
         # random probes: target SNRs from just above 2^r_B - 1 to ~150 times it
         rng = np.random.default_rng(L * 1000 + M)
@@ -109,7 +111,7 @@ class TestRouteEquivalence:
             gamma = (2.0**r_B - 1.0) * float(np.exp(rng.uniform(1e-9, 5.0))) + 1e-9
             cases.append((r_M, r_B, gamma))
         for r_M, r_B, gamma in cases:
-            mm_fast, eb_fast = table.nonorth_error_counts(r_M, r_B, gamma)
+            mm_fast, eb_fast = nonorth_counts(table, r_M, r_B, gamma)
             mm_ref = eb_ref = 0
             for real in reals:
                 P_B = gamma / float(np.real(np.vdot(real.g_B, real.g_B)))
@@ -129,7 +131,7 @@ class TestRouteEquivalence:
 
 
 def replay_counts(table, r_M, r_B, gamma_tar):
-    """Reference for `TrialTable.threshold_counts`: the decode replayed at
+    """Reference for `TrialTable.nonorth_error_counts`: the decode replayed at
     one operating point, the first device failure along the SIC order found
     by argmin and the broadband attempt's SINR gathered at that position."""
     cfg = table.cfg
@@ -172,15 +174,13 @@ class TestNonorthPass:
             lo, hi = _gamma_bracket(op, r_B)
             accepted = max_mmtc_rate_nonorth(table, r_B, r_M_out)[0]
             rates = [0.0, accepted, 20.0, *rng.uniform(0.0, 2.5, 4)]
-            thr_B = rate_threshold(r_B)
             for r_M in rates:
                 mtc = table.mmtc_thresholds(r_M)
                 assert mtc[1].tolist() == table.orth_decoded(r_M).tolist()
                 for gamma in (lo, float(np.sqrt(lo * hi)), hi):
                     want = replay_counts(table, r_M, r_B, gamma)
-                    found = table.threshold_counts(mtc, thr_B, gamma)
+                    found = table.nonorth_error_counts(mtc, r_B, gamma)
                     assert found == want, (r_B, gamma, r_M)
-                    assert table.nonorth_error_counts(r_M, r_B, gamma) == want
 
 
 def first_failures(table, r_M, gamma):
@@ -233,7 +233,7 @@ class TestBoundaryInclusive:
     def test_threshold_sinr_decodes(self, table):
         assert table.orth_decoded(1.0).tolist() == [1, 1, 1]
         assert table.mmtc_orth_error_count(1.0) == 0
-        assert table.nonorth_error_counts(1.0, 1.0, 3.0) == (0, 0)
+        assert nonorth_counts(table, 1.0, 1.0, 3.0) == (0, 0)
         for G, g_B in zip(self.G_M, self.g_B):
             assert decode_orthogonal(G, 1.0, 1.0).mtc_decoded.all()
             out = decode_non_orthogonal(G, g_B, 1.0, 3.0 / float(g_B @ g_B), 1.0, 1.0)
@@ -268,7 +268,7 @@ class TestBoundaryInclusive:
             assert U[0, 0] == np.inf and U[0, 1] < 1.125 < least
             assert orth_decoded.tolist() == [1]
             assert table.mmtc_thresholds(0.0)[0].tolist() == [[np.inf, np.inf]]
-            assert table.nonorth_error_counts(1.0, 1.0, 1.125) == (1, 1)
+            assert nonorth_counts(table, 1.0, 1.0, 1.125) == (1, 1)
         out = decode_non_orthogonal(G, g_B, 1.0, 1.125, 1.0, 1.0)
         assert out.mtc_decoded.tolist() == [True, False] and not out.embb_decoded
 
@@ -295,8 +295,8 @@ class TestColumnMajorLayout:
             probes.append((r_M, r_B, gamma))
         reached = set()
         for r_M, r_B, gamma in probes:
-            want = rows.nonorth_error_counts(r_M, r_B, gamma)
-            assert table.nonorth_error_counts(r_M, r_B, gamma) == want
+            want = nonorth_counts(rows, r_M, r_B, gamma)
+            assert nonorth_counts(table, r_M, r_B, gamma) == want
             assert table.mmtc_orth_error_count(r_M) == rows.mmtc_orth_error_count(r_M)
             k = first_failures(table, r_M, gamma)
             cases = (("k == 0", k == 0), ("0 < k < M", (k > 0) & (k < M)), ("k == M", k == M))
@@ -320,8 +320,8 @@ class TestDeterminism:
 
     def test_joint_estimates_deterministic(self):
         cfg = make_cfg(L=4, M=10, trials=2000)
-        a = build_trial_table(cfg).nonorth_error_counts(0.4, 2.0, 50.0)
-        b = build_trial_table(cfg, workers=4).nonorth_error_counts(0.4, 2.0, 50.0)
+        a = nonorth_counts(build_trial_table(cfg), 0.4, 2.0, 50.0)
+        b = nonorth_counts(build_trial_table(cfg, workers=4), 0.4, 2.0, 50.0)
         assert a == b
 
     def test_held_draw_of_another_seed_is_rejected(self):
@@ -349,11 +349,9 @@ class TestDeterminism:
         def count(table):
             counts = ()
             for r_M in (0.4, 1.5):
-                mtc = table.mmtc_thresholds(r_M)
-                counts += (table.mmtc_orth_error_count(r_M),
-                           table.mmtc_orth_error_count(r_M, mtc[1]))
-                counts += table.nonorth_error_counts(r_M, 2.0, 60.0, mtc)
-            return counts + table.nonorth_error_counts(1.5, 2.0, 60.0)
+                counts += (table.mmtc_orth_error_count(r_M),)
+                counts += table.nonorth_error_counts(table.mmtc_thresholds(r_M), 2.0, 60.0)
+            return counts
 
         want = [count(table) for table in build_trial_tables(cfg, L_values)]
         assert monte_carlo.count_trials(cfg, L_values, count, workers) == want
@@ -500,7 +498,7 @@ class TestDeterminism:
         want = build_trial_tables(cfg, (1, 8, 16))
 
         def count(table):
-            return (table.mmtc_orth_error_count(0.9),) + table.nonorth_error_counts(0.9, 2.0, 60.0)
+            return (table.mmtc_orth_error_count(0.9),) + nonorth_counts(table, 0.9, 2.0, 60.0)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -579,7 +577,7 @@ class TestMemoryBounds:
 
         def search():
             nonorthogonal_region(table, [f * op.r_B_out for f in (0.0, 0.3, 0.7)], r_M_out)
-            table.nonorth_error_counts(0.5 * r_M_out, 0.3 * op.r_B_out, op.gamma_tar)
+            nonorth_counts(table, 0.5 * r_M_out, 0.3 * op.r_B_out, op.gamma_tar)
 
         assert traced_peak(search) <= monte_carlo._count_bytes(trials, M)
 
@@ -623,7 +621,7 @@ class TestMemoryBounds:
         import slicesim.slicing_search as search
 
         cfg = make_cfg(L=8, trials=1000)
-        points = [(0.0, "orthogonal"), (0.0, "non_orthogonal")]
+        points = [(0.0, "orth"), (0.0, "nonorth")]
         probed, build = [], search.build_trial_table
 
         def recording(c, **kw):
@@ -708,18 +706,18 @@ class TestNonOrthogonalEstimator:
     def test_gamma_precondition(self):
         table = build_trial_table(make_cfg())
         with pytest.raises(ValueError):
-            table.nonorth_error_counts(0.5, 2.0, 3.0)  # 3.0 == 2^2 - 1
+            nonorth_counts(table, 0.5, 2.0, 3.0)  # 3.0 == 2^2 - 1
 
     def test_zero_rate_b_never_fails_embb(self):
         cfg = make_cfg(trials=3000)
-        mm, eb = build_trial_table(cfg).nonorth_error_counts(0.5, 0.0, 5.0)
+        mm, eb = nonorth_counts(build_trial_table(cfg), 0.5, 0.0, 5.0)
         assert eb == 0
 
     def test_vanishing_power_reduces_to_orthogonal(self):
         cfg = make_cfg(trials=3000)
         table = build_trial_table(cfg)
         for r_M in (0.2, 0.6, 1.1):
-            mm, eb = table.nonorth_error_counts(r_M, 0.0, 1e-12)
+            mm, eb = nonorth_counts(table, r_M, 0.0, 1e-12)
             assert mm == table.mmtc_orth_error_count(r_M)
             assert eb == 0
 
@@ -731,7 +729,7 @@ class TestNonOrthogonalEstimator:
         for r_M in (0.3, 0.8):
             orth = table.mmtc_orth_error_count(r_M)
             for gamma in (5.0, 50.0, 300.0):
-                mm, _ = table.nonorth_error_counts(r_M, 2.0, gamma)
+                mm, _ = nonorth_counts(table, r_M, 2.0, gamma)
                 assert mm >= orth
 
     @pytest.mark.parametrize("L,M", [(1, 1), (1, 6), (4, 8), (8, 10), (16, 20)])
@@ -743,7 +741,7 @@ class TestNonOrthogonalEstimator:
             orth = table.mmtc_orth_error_count(r_M)
             for r_B in (0.0, 2.0, 4.0):
                 for gamma in np.geomspace(2.0**r_B - 1.0 + 1e-6, 1e4, 7):
-                    mm, _ = table.nonorth_error_counts(r_M, r_B, gamma)
+                    mm, _ = nonorth_counts(table, r_M, r_B, gamma)
                     assert mm >= orth
 
     def test_mmtc_monotone_in_rate_exactly(self):
@@ -753,7 +751,7 @@ class TestNonOrthogonalEstimator:
         table = build_trial_table(cfg)
         for gamma in (5.0, 60.0, 300.0):
             counts = [
-                table.nonorth_error_counts(r, 2.0, gamma)[0]
+                nonorth_counts(table, r, 2.0, gamma)[0]
                 for r in np.linspace(0.0, 2.0, 9)
             ]
             assert all(a <= b for a, b in zip(counts, counts[1:]))
@@ -766,7 +764,7 @@ class TestNonOrthogonalEstimator:
         cfg = make_cfg(L=4, M=8, trials=4000)
         table = build_trial_table(cfg)
         counts = [
-            table.nonorth_error_counts(0.5, 2.0, g)[0]
+            nonorth_counts(table, 0.5, 2.0, g)[0]
             for g in np.geomspace(3.5, 300.0, 10)
         ]
         assert max(counts) > counts[0] and max(counts) > counts[-1]
@@ -790,7 +788,7 @@ class TestNonOrthogonalEstimator:
 
     def test_requires_devices(self):
         with pytest.raises(ValueError):
-            build_trial_table(make_cfg(M=0)).nonorth_error_counts(0.5, 1.0, 10.0)
+            nonorth_counts(build_trial_table(make_cfg(M=0)), 0.5, 1.0, 10.0)
 
 
 def single_device_error_rates(cfg, r_M, r_B, gamma):
@@ -846,7 +844,7 @@ def assert_counts_match_quadrature(table, r_M, r_B_fraction, end):
     thr_B = 2.0**r_B - 1.0
     gamma = thr_B + (op.gamma_tar - thr_B) * 1e-9 if end == "lower" else op.gamma_tar
     T = table.cfg.trials
-    for count, p in zip(table.nonorth_error_counts(r_M, r_B, gamma),
+    for count, p in zip(nonorth_counts(table, r_M, r_B, gamma),
                         single_device_error_rates(table.cfg, r_M, r_B, gamma)):
         assert binomtest(count, T, p).pvalue >= 2 * norm.sf(4), (count, p)
 

@@ -86,6 +86,30 @@ class TestDecodeNonOrthogonalHandExamples:
         assert out.embb_decoded and out.embb_decode_step == 2
 
 
+class TestRatesPastTheDoubleRange:
+    """From r = 1024 on, 2^r overflows a double: the rate's threshold is
+    +inf (`channel.rate_threshold`), which no SINR reaches."""
+
+    @pytest.mark.parametrize("r_M", [1024.0, 1e6])
+    def test_no_device_decodes(self, r_M):
+        G, g_B = random_channels(1, 4, 6)
+        assert not decode_orthogonal(G, 1.0, r_M).mtc_decoded.any()
+        out = decode_non_orthogonal(G, g_B, 1.0, 4.0, r_M, 0.5)
+        assert not out.mtc_decoded.any()
+        assert out.embb_decoded and out.embb_decode_step == 0
+
+    @pytest.mark.parametrize("r_M", [0.0, 1.0])
+    def test_broadband_signal_stays_undecoded(self, r_M):
+        # at r_M = 0 every device decodes and the broadband attempt comes
+        # last, interference-free; at r_M = 1 a device fails first. Neither
+        # attempt decodes, at any finite power
+        G, g_B = random_channels(2, 4, 6)
+        for P_B in (4.0, 1e300):
+            out = decode_non_orthogonal(G, g_B, 1.0, P_B, r_M, 1024.0)
+            assert not out.embb_decoded and out.embb_decode_step is None
+            assert out.mtc_decoded.all() == (r_M == 0.0)
+
+
 class TestReductionAndProperties:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

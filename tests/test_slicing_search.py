@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assert_thresholds_built_once
+from conftest import assert_thresholds_built_once, nonorth_counts
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -46,8 +46,8 @@ G_M, G_B = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.0])
     pytest.param(lambda t: t.orth_decoded(NAN), id="orth_decoded"),
     pytest.param(lambda t: t.mmtc_orth_error_count(NAN), id="mmtc_orth_error_count"),
     pytest.param(lambda t: t.mmtc_thresholds(NAN), id="mmtc_thresholds"),
-    pytest.param(lambda t: t.nonorth_error_counts(NAN, 1.0, 50.0), id="nonorth-r_M"),
-    pytest.param(lambda t: t.nonorth_error_counts(1.0, NAN, 50.0), id="nonorth-r_B"),
+    pytest.param(lambda t: t.nonorth_error_counts(t.mmtc_thresholds(1.0), NAN, 50.0),
+                 id="nonorth-r_B"),
     pytest.param(lambda t: max_mmtc_rate_nonorth(t, NAN, 1.0), id="max_mmtc_rate_nonorth"),
     pytest.param(lambda t: max_mmtc_rate_nonorth(t, 0.5, NAN),
                  id="max_mmtc_rate_nonorth-r_M_out"),
@@ -57,15 +57,17 @@ G_M, G_B = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.0])
                  id="min_feasible_gamma_tar-r_B"),
     pytest.param(lambda t: min_feasible_gamma_tar(t.cfg, 0.5, NAN),
                  id="min_feasible_gamma_tar-r_M"),
-    pytest.param(lambda t: max_devices(t.cfg, NAN, [(0.0, "orthogonal")]),
+    pytest.param(lambda t: max_devices(t.cfg, NAN, [(0.0, "orth")]),
                  id="max_devices-r_M"),
-    pytest.param(lambda t: max_devices(t.cfg, 0.25, [(NAN, "orthogonal")]),
+    pytest.param(lambda t: max_devices(t.cfg, 0.25, [(NAN, "orth")]),
                  id="max_devices-orthogonal-r_B"),
-    pytest.param(lambda t: max_devices(t.cfg, 0.25, [(NAN, "non_orthogonal")]),
+    pytest.param(lambda t: max_devices(t.cfg, 0.25, [(NAN, "nonorth")]),
                  id="max_devices-non_orthogonal-r_B"),
     pytest.param(lambda t: rate_threshold(NAN), id="rate_threshold"),
     pytest.param(lambda t: rate_threshold(-1.0), id="rate_threshold-negative"),
     pytest.param(lambda t: decode_orthogonal(G_M, 1.0, NAN), id="decode_orthogonal"),
+    pytest.param(lambda t: decode_non_orthogonal(G_M, G_B, 1.0, 2.0, NAN, 0.5),
+                 id="decode_non_orthogonal-r_M"),
     pytest.param(lambda t: decode_non_orthogonal(G_M, G_B, 1.0, 2.0, 0.5, NAN),
                  id="decode_non_orthogonal-r_B"),
 ])
@@ -190,7 +192,7 @@ class TestMinFeasibleGammaTar:
         r_B = 0.3 * op.r_B_out
         g = min_feasible_gamma_tar(cfg, r_B, 0.3)
         assert g is not None
-        assert table.nonorth_error_counts(0.3, r_B, g)[1] / cfg.trials <= cfg.eps_B
+        assert nonorth_counts(table, 0.3, r_B, g)[1] / cfg.trials <= cfg.eps_B
 
 
 class TestMaxMmtcRateNonorth:
@@ -215,8 +217,7 @@ class TestMaxMmtcRateNonorth:
             op = operating_point(cfg)
             for r_B in np.linspace(0.0, op.r_B_out, 7)[:-1]:
                 bracket = _gamma_bracket(op, r_B)
-                found = _gamma_search(table, bracket, rate_threshold(r_B),
-                                      table.mmtc_thresholds(0.0),
+                found = _gamma_search(table, bracket, r_B, table.mmtc_thresholds(0.0),
                                       _error_budget(M * cfg.trials, cfg.eps_M))
                 assert found == (bracket[0], (0, 0)), (seed, r_B)
 
@@ -238,7 +239,7 @@ class TestMaxMmtcRateNonorth:
             got = max_mmtc_rate_nonorth(table, r_B, max_mmtc_rate_orth(table))
             assert got == (0.0, op.gamma_tar, None)
             assert min_feasible_gamma_tar(cfg, r_B, 0.25) is None
-            assert max_devices(cfg, 0.25, [(r_B, "non_orthogonal")]) == [0]
+            assert max_devices(cfg, 0.25, [(r_B, "nonorth")]) == [0]
 
     def test_rejects_rate_beyond_outage_rate(self):
         cfg = make_cfg(trials=500)
@@ -286,7 +287,7 @@ def gamma_on(table, r_B, r_M):
     bracket = _gamma_bracket(operating_point(table.cfg), r_B)
     if bracket is None:
         return None
-    found = _gamma_search(table, bracket, rate_threshold(r_B), table.mmtc_thresholds(r_M),
+    found = _gamma_search(table, bracket, r_B, table.mmtc_thresholds(r_M),
                           table.cfg.M * table.cfg.trials)
     return None if found is None else found[0]
 
@@ -300,7 +301,7 @@ def two_pass_max_rate(cfg, r_B, table):
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
         g = gamma_on(table, r_B, mid)
-        if g is not None and table.nonorth_error_counts(mid, r_B, g)[0] / n <= cfg.eps_M:
+        if g is not None and nonorth_counts(table, mid, r_B, g)[0] / n <= cfg.eps_M:
             lo, best_g = mid, g
         else:
             hi = mid
@@ -320,8 +321,7 @@ def bisect_alone(table, r_B, r_M_out):
     hi = r_M_out + RATE_TOL
     while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
-        found = _gamma_search(table, bracket, rate_threshold(r_B),
-                              table.mmtc_thresholds(mid), budget)
+        found = _gamma_search(table, bracket, r_B, table.mmtc_thresholds(mid), budget)
         if found is None:
             hi = mid
         else:
@@ -367,7 +367,7 @@ class TestNonorthogonalRegion:
             if counts is None:
                 assert (r_M, gamma) == (0.0, op.gamma_tar)
                 continue
-            assert counts == table.nonorth_error_counts(r_M, r_B, gamma)
+            assert counts == nonorth_counts(table, r_M, r_B, gamma)
             assert counts[0] / (cfg.M * cfg.trials) <= cfg.eps_M
             assert counts[1] / cfg.trials <= cfg.eps_B
         assert sum(counts is not None and r_M > 0 for _, r_M, _, counts in pts) >= 3
@@ -404,19 +404,20 @@ class TestMaxDevices:
     def test_orthogonal_no_time_left(self):
         cfg = make_cfg(trials=500)
         op = operating_point(cfg)
-        points = [(op.r_B_out, "orthogonal"), (op.r_B_out * 1.3, "orthogonal")]
+        points = [(op.r_B_out, "orth"), (op.r_B_out * 1.3, "orth")]
         assert max_devices(cfg, 0.25, points) == [0, 0]
 
     def test_rejects_nonpositive_rate_and_bad_mode(self):
         cfg = make_cfg(trials=500)
         with pytest.raises(ValueError):
-            max_devices(cfg, 0.0, [(0.5, "orthogonal")])
-        with pytest.raises(ValueError):
-            max_devices(cfg, 0.25, [(0.5, "tdma")])
+            max_devices(cfg, 0.0, [(0.5, "orth")])
+        for mode in ("tdma", "orthogonal", "non_orthogonal"):  # one spelling: the CLI's
+            with pytest.raises(ValueError, match="unknown mode"):
+                max_devices(cfg, 0.25, [(0.5, mode)])
 
     def test_orthogonal_against_linear_scan_oracle(self):
         cfg = make_cfg(L=2, trials=6000)
-        (got,) = max_devices(cfg, 0.25, [(0.0, "orthogonal")])
+        (got,) = max_devices(cfg, 0.25, [(0.0, "orth")])
         assert got >= 1
         # oracle: evaluate every candidate directly with the estimator
         def feasible(m):
@@ -432,24 +433,24 @@ class TestMaxDevices:
     def test_single_device_infeasible_gives_zero(self):
         # demand an absurd per-device rate so even M = 1 fails
         cfg = make_cfg(trials=2000)
-        assert max_devices(cfg, 40.0, [(0.0, "orthogonal")]) == [0]
+        assert max_devices(cfg, 40.0, [(0.0, "orth")]) == [0]
 
     def test_orthogonal_rate_of_1024_or_more_gives_zero(self):
         # r_M / (1 - alpha) = 30 / 0.025 = 1200, where 2^r - 1 overflows a double
         cfg = make_cfg(trials=500)
         r_B = 0.975 * operating_point(cfg).r_B_out
-        assert max_devices(cfg, 30.0, [(r_B, "orthogonal")]) == [0]
+        assert max_devices(cfg, 30.0, [(r_B, "orth")]) == [0]
 
     def test_nonorthogonal_small_case_positive(self):
         cfg = make_cfg(L=4, trials=6000)
         op = operating_point(cfg)
-        (m,) = max_devices(cfg, 0.25, [(0.2 * op.r_B_out, "non_orthogonal")])
+        (m,) = max_devices(cfg, 0.25, [(0.2 * op.r_B_out, "nonorth")])
         assert m >= 1
 
     def test_nonorthogonal_endpoint_zero(self):
         cfg = make_cfg(trials=2000)
         op = operating_point(cfg)
-        assert max_devices(cfg, 0.25, [(op.r_B_out, "non_orthogonal")]) == [0]
+        assert max_devices(cfg, 0.25, [(op.r_B_out, "nonorth")]) == [0]
 
     def test_empty_points(self):
         assert max_devices(make_cfg(trials=500), 0.25, []) == []
@@ -466,7 +467,7 @@ class TestMaxDevices:
         op = operating_point(cfg)
         points = [
             (float(r_B), mode)
-            for mode in ("orthogonal", "non_orthogonal")
+            for mode in ("orth", "nonorth")
             for r_B in np.linspace(0.0, op.r_B_out, 4)
         ]
         want = [per_point_max_devices(cfg, 0.25, r_B, mode) for r_B, mode in points]
@@ -526,7 +527,7 @@ class TestHeldDraw:
         monkeypatch.setattr(search, "build_trial_table", building)
         monkeypatch.setattr(monte_carlo, "keyed_uniforms", drawing)
         cfg = make_cfg(L=4, trials=3000)
-        points = [(0.0, "orthogonal"), (0.3 * operating_point(cfg).r_B_out, "non_orthogonal")]
+        points = [(0.0, "orth"), (0.3 * operating_point(cfg).r_B_out, "nonorth")]
         result = max_devices(cfg, 0.25, points, workers=workers)
         assert max(b["M"] for b in builds) == 32
         return cfg, result, builds
@@ -585,7 +586,7 @@ def per_point_max_devices(cfg, r_M, r_B, mode):
     """The device-count search for one (r_B, mode) point, as it ran before
     the points shared their tables: every probe builds its own table."""
     op = operating_point(cfg)
-    if mode == "orthogonal":
+    if mode == "orth":
         alpha = r_B / op.r_B_out
         if alpha >= 1.0:
             return 0
@@ -594,9 +595,9 @@ def per_point_max_devices(cfg, r_M, r_B, mode):
     def feasible(m):
         table = build_trial_table(replace(cfg, M=m))
         n = m * cfg.trials
-        if mode == "non_orthogonal":
+        if mode == "nonorth":
             g = gamma_on(table, r_B, r_M)
-            return g is not None and table.nonorth_error_counts(r_M, r_B, g)[0] / n <= cfg.eps_M
+            return g is not None and nonorth_counts(table, r_M, r_B, g)[0] / n <= cfg.eps_M
         return table.mmtc_orth_error_count(required) / n <= cfg.eps_M
 
     if not feasible(1):
