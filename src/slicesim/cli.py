@@ -94,6 +94,8 @@ class ExperimentSpec:
                 raise ConfigError(f"config field {name!r} must be finite, got {value}")
         for name in ("r_M", "r_B"):
             value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"config field {name!r} must be nonnegative, got {value}")
             if value is not None and value >= 1024:
                 raise ConfigError(
                     f"config field {name!r} must be below 1024, where 2^{name} - 1 "
@@ -277,16 +279,9 @@ def _outage_targets(spec: ExperimentSpec) -> List[Optional[float]]:
     nonorth = spec.mode in ("nonorth", "both")
     if nonorth and spec.r_B is None:
         raise ConfigError("config field 'r_B' is required for non-orthogonal outage")
-    thresholds = {}
-    for name in ("r_M", "r_B"):
-        value = getattr(spec, name)
-        try:
-            thresholds[name] = None if value is None else rate_threshold(value)
-        except ValueError as exc:
-            raise ConfigError(f"config field {name!r}: {exc}") from exc
     if not nonorth:
         return [None] * len(spec.L_values)
-    thr_B = thresholds["r_B"]
+    thr_B = rate_threshold(spec.r_B)
     gammas = []
     for L in spec.L_values:
         op = operating_point(replace(spec.scenario, L=L))

@@ -22,15 +22,17 @@ of one antenna count. A device count's draw is in the same way a column
 prefix of the draw of any larger device count, and a `HeldDraw` keeps one
 draw across builds so that narrower builds reduce from its prefix. A build
 allocates its temporaries once, one `_Workspace` per worker thread: each
-chunk is drawn, transformed and reduced in a free one, which writes the
-statistics into the tables' rows.
+chunk is drawn, transformed and reduced in a free one. A table has one
+layout, a flat float64 buffer of T (5M + 1) values (`_table`), and one
+writer, `_table_chunk(table, Z, ws, t0, t1)`, which fills its rows t0..t1
+from the chunk's draw.
 
 A count that adds up over trials needs no table. `count_trials` runs the
-same chunk loop (`_Chunks`) and reduces each chunk, at every L, into rows
-held by the chunk's workspace, counts them there and sums the counts per
-L, so what it holds does not grow with the trials or the antenna sweep.
-The CLI's fixed operating points are counted this way; the searches, which
-read a table many times, build one.
+same chunk loop (`_Chunks`) and reduces each chunk, at every L, into a
+table of the chunk's trials held by its workspace, counts it there and
+sums the counts per L, so what it holds does not grow with the trials or
+the antenna sweep. The CLI's fixed operating points are counted this way;
+the searches, which read a table many times, build one.
 
 `TrialTable.mmtc_orth_error_count` and `TrialTable.nonorth_error_counts`
 count the errors of one operating point, for the CLI's rows and for the
@@ -67,7 +69,7 @@ import operator
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -94,6 +96,7 @@ def wilson_half_width(p_hat: float, n: int) -> float:
     )
 
 
+@dataclass(eq=False)
 class TrialTable:
     """Per-trial MRC-SIC statistics, all in SIC order (strongest first).
 
@@ -113,14 +116,13 @@ class TrialTable:
     reductions run as vectorized passes instead of strided short rows.
     """
 
-    def __init__(self, cfg: SystemConfig, c, interf, b, b_suffix, d, prefix_min):
-        self.cfg = cfg
-        self.c = c
-        self.interf = interf
-        self.b = b
-        self.b_suffix = b_suffix
-        self.d = d
-        self.prefix_min = prefix_min
+    cfg: SystemConfig
+    c: np.ndarray
+    interf: np.ndarray
+    b: np.ndarray
+    b_suffix: np.ndarray
+    d: np.ndarray
+    prefix_min: np.ndarray
 
     def orth_decoded(self, r_M: float) -> np.ndarray:
         """Per trial, the devices decoded at rate r_M under orthogonal
@@ -164,12 +166,9 @@ class TrialTable:
         U -= self.interf
         U -= self.c
         U *= self.d[:, None]
-        unreached = self.b == 0
-        if unreached.any():
-            np.divide(U, self.b, out=U, where=~unreached)
-            U[unreached] = np.where(U[unreached] >= 0.0, np.inf, -np.inf)
-        else:
+        with np.errstate(divide="ignore", invalid="ignore"):
             U /= self.b
+        U[np.isnan(U)] = np.inf  # 0 / 0 at b = 0
         for m in range(1, cfg.M):
             np.minimum(U[:, m - 1], U[:, m], out=U[:, m])
         return U, orth_decoded
@@ -289,10 +288,11 @@ class _Workspace:
     worker thread, and each chunk takes a free one. It and what
     `_table_chunk` allocates beside it hold at most n *
     `_trial_bytes(M, width)` bytes, and with `table_rows` n (5M + 1)
-    doubles more: the rows of a chunk's table, which a count reads."""
+    doubles more: a buffer in which `_table` lays out a chunk's table,
+    which a count reads."""
 
     def __init__(self, n: int, M: int, width: int, table_rows: bool = False):
-        # a chunk's trial-table rows, which `_chunk_rows` views
+        # a chunk's trial table, laid out by `_table`
         self.rows = np.empty(n * (5 * M + 1)) if table_rows else None
         # the flat index of each trial's first device, per device
         self.row_starts = np.repeat(M * np.arange(n), M).reshape(n, M)
@@ -315,22 +315,35 @@ class _Workspace:
         self.power = np.empty(n, np.complex128)
 
 
-def _table_chunk(cfg: SystemConfig, Z: np.ndarray, ws: _Workspace, out) -> None:
-    # Z holds one row of 2L(M+1) standard normals per trial: the broadband
-    # channel's (re, im) pairs, then each device's. Read as complex128, each
-    # pair is one channel coefficient. `out` is the chunk's rows of the
-    # table's (c, interf, b, b_suffix, d, prefix_min). Every temporary is a
-    # C-contiguous view of ws, and every arithmetic step the numpy call, on
-    # the same layout, that a fresh array would get, so the statistics do
-    # not depend on the buffers. Only the sort order is allocated. Strided
-    # rows, of the draw or of the column-major table, are only copied
-    # (np.copyto): a ufunc on them would allocate iteration buffers, since
-    # numpy 2.4 buffers operands whose inner loop is shorter than
+def _table(cfg: SystemConfig, buf: np.ndarray) -> TrialTable:
+    # cfg's trial table in the leading T (5M + 1) doubles of a flat float64
+    # buffer: the five (T, M) arrays, each column-major, then d
+    T, M = cfg.trials, cfg.M
+    tm = T * M
+    c, interf, b, b_suffix, prefix_min = (
+        buf[i * tm: (i + 1) * tm].reshape((T, M), order="F") for i in range(5))
+    return TrialTable(cfg, c, interf, b, b_suffix, buf[5 * tm: 5 * tm + T], prefix_min)
+
+
+def _table_chunk(table: TrialTable, Z: np.ndarray, ws: _Workspace, t0: int, t1: int) -> None:
+    # writes rows t0..t1 of table from Z, which holds one row of standard
+    # normals per trial at any width from the table's 2L(M+1) on: the
+    # broadband channel's (re, im) pairs, then each device's. Read as
+    # complex128, each pair is one channel coefficient. Every temporary is
+    # a C-contiguous view of ws, and every arithmetic step the numpy call,
+    # on the same layout, that a fresh array would get, so the statistics
+    # do not depend on the buffers. Only the sort order is allocated.
+    # Strided rows, of the draw or of the column-major table, are only
+    # copied (np.copyto): a ufunc on them would allocate iteration buffers,
+    # since numpy 2.4 buffers operands whose inner loop is shorter than
     # np.getbufsize()
-    c, interf, b, b_suffix, d, prefix_min = out
+    cfg = table.cfg
     L, M = cfg.L, cfg.M
-    n = Z.shape[0]
-    Zc = Z.view(np.complex128)
+    n = t1 - t0
+    c, interf, b, b_suffix, d, prefix_min = (
+        a[t0:t1] for a in (table.c, table.interf, table.b, table.b_suffix, table.d,
+                           table.prefix_min))
+    Zc = Z[:, : 2 * L * (M + 1)].view(np.complex128)
     g_B = _view(ws.chan, n, L)
     np.copyto(g_B, Zc[:, :L])
     g_B *= math.sqrt(cfg.gamma_bar_B / 2.0)
@@ -437,8 +450,8 @@ class _Chunks:
     def run(self, reduce, table_rows: bool = False):
         """Yields reduce(Z, ws, t0, t1) of every chunk of trials t0..t1, in
         chunk order: Z is the chunk's normals at the widest L, and ws a
-        workspace that no other chunk uses meanwhile, with a chunk's
-        trial-table rows (`_chunk_rows`) when `table_rows` is set.
+        workspace that no other chunk uses meanwhile, with a buffer for a
+        chunk's trial table (`_table`) when `table_rows` is set.
 
         Workspaces and the held draw are allocated here, after the caller's
         reservation and allocations. At most two chunks per thread are
@@ -490,26 +503,18 @@ class _Chunks:
                 yield pending.popleft().result()
 
 
-def _chunk_rows(ws: _Workspace, n: int, M: int) -> List[np.ndarray]:
-    # a chunk's (c, interf, b, b_suffix, d, prefix_min) for n trials in the
-    # workspace's row buffer, each (n, M) array column-major as a table's
-    nm = n * M
-    c, interf, b, b_suffix, prefix_min = (
-        ws.rows[i * nm: (i + 1) * nm].reshape((n, M), order="F") for i in range(5))
-    return [c, interf, b, b_suffix, ws.rows[5 * nm: 5 * nm + n], prefix_min]
-
-
 def build_trial_tables(
     cfg: SystemConfig, L_values: Sequence[int], workers: int = 1,
     held: Optional[HeldDraw] = None,
 ) -> List[TrialTable]:
     """Trial tables of cfg at each antenna count in L_values, in that order.
 
-    One `_Chunks` pass: each chunk of trials is drawn once, at the widest
-    L, and every table is reduced from its column prefix of those normals
-    into its rows, so each table equals one built on its own and does not
-    depend on the chunking, on `workers` or on `held`. The workspaces are
-    freed on return.
+    Each table is one flat buffer laid out by `_table`. One `_Chunks` pass:
+    each chunk of trials is drawn once, at the widest L, and
+    `_table_chunk` reduces every table's rows of the chunk from its column
+    prefix of those normals, so each table equals one built on its own and
+    does not depend on the chunking, on `workers` or on `held`. The
+    workspaces are freed on return.
 
     Every table of the sweep is alive at once, for the searches that read
     them after the build; builds and searches never overlap. Raises
@@ -529,21 +534,11 @@ def build_trial_tables(
         f"{held_bytes} bytes and the larger of {in_flight} chunk(s) in flight of "
         f"{chunk_bytes} bytes and the count temporaries of {count_bytes} bytes",
     )
-
-    def column():
-        return np.empty((T, M), order="F")
-
-    tables = [
-        TrialTable(replace(cfg, L=L), column(), column(), column(), column(), np.empty(T),
-                   column())
-        for L in L_values
-    ]
+    tables = [_table(replace(cfg, L=L), np.empty(T * (5 * M + 1))) for L in L_values]
 
     def reduce(Z, ws, t0, t1):
-        for tab in tables:
-            _table_chunk(tab.cfg, Z[:, : 2 * tab.cfg.L * (M + 1)], ws,
-                         [a[t0:t1] for a in (tab.c, tab.interf, tab.b, tab.b_suffix,
-                                             tab.d, tab.prefix_min)])
+        for table in tables:
+            _table_chunk(table, Z, ws, t0, t1)
 
     for _ in chunks.run(reduce):
         pass
@@ -560,12 +555,13 @@ def count_trials(
     do, without building the whole table.
 
     One `_Chunks` pass, as in `build_trial_tables`, whose reduction writes
-    each L's statistics into the chunk rows of its workspace, one set per
-    worker reused across the L's, and counts them there. What the pass
-    holds is the workspaces, each with its chunk rows and one count's
-    temporaries (`_count_bytes` at a chunk's trials), whatever the number
-    of trials; it raises MemoryError before allocating when those exceed
-    the machine's physical memory.
+    each L's table of the chunk into its workspace's buffer, laid out by
+    `_table` as a whole table is, and counts it there; one buffer per
+    worker serves every L. What the pass holds is the workspaces, each
+    with its chunk's table and one count's temporaries (`_count_bytes` at
+    a chunk's trials), whatever the number of trials; it raises
+    MemoryError before allocating when those exceed the machine's physical
+    memory.
     """
     M = cfg.M
     chunks = _Chunks(cfg, L_values, workers)
@@ -582,11 +578,10 @@ def count_trials(
 
     def reduce(Z, ws, t0, t1):
         n = t1 - t0
-        rows = _chunk_rows(ws, n, M)
         counts = []
         for at_L in full:
-            table = TrialTable(at_L if n == step else replace(at_L, trials=n), *rows)
-            _table_chunk(at_L, Z[:, : 2 * at_L.L * (M + 1)], ws, rows)
+            table = _table(at_L if n == step else replace(at_L, trials=n), ws.rows)
+            _table_chunk(table, Z, ws, 0, n)
             counts.append(count(table))
         return counts
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -80,14 +79,14 @@ def sample_complex_gaussian(
 
 
 def keyed_uniforms(
-    seed: int, first_stream: int, n_streams: int, n_per: int, out: Optional[np.ndarray] = None
+    seed: int, first_stream: int, n_streams: int, n_per: int, out: np.ndarray
 ) -> np.ndarray:
     """Uniform block for consecutive streams; row i equals the first `n_per`
     uniforms of RngStream(seed, first_stream + i).
 
-    The block is written into `out` when given, an (n_streams, n_per)
-    float64 array whose rows are contiguous (such as rows or a column
-    prefix of a larger buffer), and returned; otherwise it is allocated.
+    The block is written into `out`, an (n_streams, n_per) float64 array
+    whose rows are contiguous (such as rows or a column prefix of a larger
+    buffer), and returned.
 
     Reuses a single Philox instance with per-row state resets, which is
     bit-identical to constructing a fresh generator per stream but avoids
@@ -98,9 +97,7 @@ def keyed_uniforms(
     """
     if n_streams < 0 or n_per < 0:
         raise ValueError("n_streams and n_per must be nonnegative")
-    if out is None:
-        out = np.empty((n_streams, n_per))
-    elif out.shape != (n_streams, n_per) or out.dtype != np.float64:
+    if out.shape != (n_streams, n_per) or out.dtype != np.float64:
         raise ValueError(f"out must be a ({n_streams}, {n_per}) float64 array")
     if n_streams == 0 or n_per == 0:
         return out

@@ -171,8 +171,8 @@ class TestParseSpec:
     def test_max_devices_needs_positive_rate(self, r_M):
         with pytest.raises(ConfigError, match="r_M"):
             parse_spec("max-devices", GOOD_CONFIG + f"r_M = {r_M}\n")
-        # the other commands check their rates where they use them
-        assert parse_spec("region", GOOD_CONFIG + f"r_M = {r_M}\n").r_M == float(r_M)
+        # the other commands take a zero rate; no command takes a negative one
+        assert parse_spec("region", GOOD_CONFIG + "r_M = 0.0\n").r_M == 0.0
 
     @pytest.mark.parametrize("field", ["r_M", "r_B"])
     def test_rates_lie_below_1024(self, field):
@@ -394,14 +394,16 @@ class TestRunOutage:
         assert builds == []
 
     @pytest.mark.parametrize(
-        "mode, rates",
-        [("orth", "r_M = -0.5\n"), ("nonorth", "r_M = 0.5\nr_B = -0.5\n")],
-        ids=["r_M", "r_B"],
+        "command, mode, rates",
+        [("outage", "orth", "r_M = -0.5\n"), ("outage", "nonorth", "r_M = 0.5\nr_B = -0.5\n"),
+         ("region", "both", "r_M = -0.5\n"), ("embb-analytic", "both", "r_B = -0.5\n")],
+        ids=["r_M", "r_B", "region-r_M", "embb-analytic-r_B"],
     )
-    def test_negative_rate_is_2_before_any_build(self, tmp_path, capsys, builds, mode, rates):
+    def test_negative_rate_is_2_before_any_build(self, tmp_path, capsys, builds, command,
+                                                 mode, rates):
         cfg = tmp_path / "neg.cfg"
         cfg.write_text(GOOD_CONFIG + f"mode = {mode}\n" + rates)
-        assert main(["outage", "--config", str(cfg)]) == 2
+        assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "-0.5" in err
         assert builds == []

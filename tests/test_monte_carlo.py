@@ -24,7 +24,7 @@ from slicesim.monte_carlo import (
     build_trial_tables,
     wilson_half_width,
 )
-from slicesim.numerics import _Z_MAX
+from slicesim.numerics import _Z_MAX, _normals_from_uniforms, keyed_uniforms
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 from slicesim.slicing_search import (
     _gamma_bracket,
@@ -271,6 +271,24 @@ class TestBoundaryInclusive:
             assert nonorth_counts(table, 1.0, 1.0, 1.125) == (1, 1)
         out = decode_non_orthogonal(G, g_B, 1.0, 1.125, 1.0, 1.0)
         assert out.mtc_decoded.tolist() == [True, False] and not out.embb_decoded
+
+    def test_unreached_device_that_never_decodes(self):
+        # an M = 1 trial with g_B = (1, 0) and g = (0, 1): b = 0, and the
+        # device's SINR is 1 at every target SNR, short of rate 2's
+        # threshold 3. Its threshold d (c / 3 - c) / 0 is -inf: it decodes at
+        # no target SNR, while the broadband attempt before it succeeds
+        G = np.array([[0.0], [1.0]])
+        g_B = np.array([1.0, 0.0])
+        cfg = make_cfg(L=2, M=1, P_M=1.0, trials=1)
+        one = np.ones((1, 1))
+        table = TrialTable(cfg, c=one, interf=0 * one, b=0 * one, b_suffix=0 * one,
+                           d=np.array([1.0]), prefix_min=one)
+        with np.errstate(all="raise"):
+            U, orth_decoded = table.mmtc_thresholds(2.0)
+            assert U.tolist() == [[-np.inf]] and orth_decoded.tolist() == [0]
+            assert nonorth_counts(table, 2.0, 1.0, 3.0) == (1, 0)
+        out = decode_non_orthogonal(G, g_B, 1.0, 3.0, 2.0, 1.0)
+        assert not out.mtc_decoded.any() and out.embb_decoded
 
 
 class TestColumnMajorLayout:
@@ -897,14 +915,38 @@ class TestLargestGains:
         gain = math.sqrt(1e308 / M) / top
         cfg = make_cfg(L=L, M=M, gamma_bar_B=gain, gamma_bar_M=gain, trials=3)
         Z = np.full((3, 2 * L * (M + 1)), -_Z_MAX)
-        stats = [np.empty((3, M)) for _ in range(4)] + [np.empty(3), np.empty((3, M))]
+        table = monte_carlo._table(cfg, np.empty(3 * (5 * M + 1)))
         with np.errstate(all="raise"):
-            monte_carlo._table_chunk(cfg, Z, monte_carlo._Workspace(3, M, Z.shape[1]), stats)
+            monte_carlo._table_chunk(table, Z, monte_carlo._Workspace(3, M, Z.shape[1]), 0, 3)
+        stats = (table.c, table.interf, table.b, table.b_suffix, table.d, table.prefix_min)
         assert all(np.isfinite(s).all() for s in stats)
-        assert stats[1].max() == pytest.approx((M - 1) / M * 1e308, rel=1e-9)
+        assert table.interf.max() == pytest.approx((M - 1) / M * 1e308, rel=1e-9)
         for field in ("gamma_bar_B", "gamma_bar_M"):
             with pytest.raises(ValueError, match=f"{field} = .* overflow"):
                 replace(cfg, **{field: 2 * gain})
+
+
+class TestTableChunk:
+    def test_writes_only_its_rows(self):
+        # trials 7..19 of 30, drawn once at the L = 4 width and reduced at
+        # L = 2 and L = 4 into built tables filled with NaN
+        M, t0, t1 = 5, 7, 19
+        width = 2 * 4 * (M + 1)
+        cfg = make_cfg(M=M, trials=30)
+        Z = _normals_from_uniforms(
+            keyed_uniforms(cfg.seed, t0, t1 - t0, width, out=np.empty((t1 - t0, width))))
+        ws = monte_carlo._Workspace(t1 - t0, M, width)
+        for L in (2, 4):
+            want = build_trial_table(replace(cfg, L=L))
+            table = build_trial_table(want.cfg)
+            fields = ("c", "interf", "b", "b_suffix", "d", "prefix_min")
+            for name in fields:
+                getattr(table, name).fill(np.nan)
+            monte_carlo._table_chunk(table, Z, ws, t0, t1)
+            for name in fields:
+                got = getattr(table, name)
+                assert np.array_equal(got[t0:t1], getattr(want, name)[t0:t1]), (L, name)
+                assert np.isnan(got[:t0]).all() and np.isnan(got[t1:]).all(), (L, name)
 
 
 class TestCauchySchwarzGuard:

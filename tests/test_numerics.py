@@ -211,7 +211,7 @@ class TestComplexGaussianSampler:
 
 class TestKeyedUniforms:
     def test_matches_fresh_generators(self):
-        block = keyed_uniforms(99, 10, 20, 12)
+        block = keyed_uniforms(99, 10, 20, 12, out=np.empty((20, 12)))
         for i in (0, 7, 19):
             want = RngStream(99, 10 + i).generator().random(12)
             assert np.array_equal(block[i], want)
@@ -220,20 +220,20 @@ class TestKeyedUniforms:
     def test_rows_match_fresh_generators_at_any_width(self, n_per):
         # Philox yields 4 words per counter step: a width that is not a
         # multiple of 4 leaves words buffered that the next row must not see
-        block = keyed_uniforms(7, 1000, 9, n_per)
+        block = keyed_uniforms(7, 1000, 9, n_per, out=np.empty((9, n_per)))
         assert block.shape == (9, n_per)
         for i in range(9):
             want = RngStream(7, 1000 + i).generator().random(n_per)
             assert np.array_equal(block[i], want)
 
     def test_empty_shapes(self):
-        assert keyed_uniforms(1, 0, 0, 5).shape == (0, 5)
-        assert keyed_uniforms(1, 0, 3, 0).shape == (3, 0)
+        for shape in ((0, 5), (3, 0)):
+            assert keyed_uniforms(1, 0, *shape, out=np.empty(shape)).shape == shape
 
     def test_fills_rows_of_a_caller_buffer(self):
-        # a column prefix of a wider buffer and rows of a taller one take the
-        # allocating call's values; nothing else in either buffer is written
-        want = keyed_uniforms(99, 10, 5, 12)
+        # a column prefix of a wider buffer and rows of a taller one take a
+        # fresh buffer's values; nothing else in either buffer is written
+        want = keyed_uniforms(99, 10, 5, 12, out=np.empty((5, 12)))
         wide, tall = np.zeros((5, 20)), np.zeros((9, 12))
         for buffer, rows in ((wide[:, :12], wide), (tall[2:7], tall)):
             filled = keyed_uniforms(99, 10, 5, 12, out=buffer)
@@ -243,6 +243,8 @@ class TestKeyedUniforms:
     def test_rejects_a_buffer_of_another_shape(self):
         with pytest.raises(ValueError, match="out"):
             keyed_uniforms(1, 0, 3, 4, out=np.empty((3, 5)))
+        with pytest.raises(ValueError, match="out"):
+            keyed_uniforms(1, 0, 3, 4, out=np.empty((3, 4), np.float32))
 
 
 class TestNormalsFromUniforms:
@@ -250,7 +252,7 @@ class TestNormalsFromUniforms:
         # the clamp and ndtri overwrite their input, bit for bit as the
         # allocating calls; u = 0 becomes -_Z_MAX
         u = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53],
-                            keyed_uniforms(3, 0, 1, 1000)[0]])
+                            keyed_uniforms(3, 0, 1, 1000, out=np.empty((1, 1000)))[0]])
         want = ndtri(np.maximum(u, _TINY_U))
         z = _normals_from_uniforms(u)
         assert z is u and z.tobytes() == want.tobytes()

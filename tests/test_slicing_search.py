@@ -520,7 +520,7 @@ class TestHeldDraw:
             builds[-1]["after"] = held.normals.shape
             return builds[-1]["table"]
 
-        def drawing(seed, first_stream, n_streams, n_per, out=None):
+        def drawing(seed, first_stream, n_streams, n_per, out):
             builds[-1]["draws"].append((first_stream, n_streams, n_per))
             return draw(seed, first_stream, n_streams, n_per, out=out)
 
