@@ -40,37 +40,33 @@ Every count is `TrialTable.nonorth_error_counts(mtc, r_B, gamma)`, which
 compares per-trial target-SNR thresholds (`monte_carlo`): the MTC ones,
 mtc, which carry the orthogonal decoded count at the same rate, depend
 only on the MTC rate, and the count pass reads the broadband one from the
-table at each trial's decoded count, at broadband rate r_B. All r_B
-points of a table bisect the same rate bracket, so they walk one tree of
-rates: the rate search answers them together, level by level, and
-builds each probed rate's MTC thresholds once for every point waiting on
-it, one rate's at a time. It counts each probed target SNR with one
-comparison pass against them. Rate 0 is not probed: there every device
-decodes before the broadband signal, which then decodes interference-free,
-so the lower end of the target-SNR bracket is accepted with no error. The
-device-count search, whose points share r_M, builds the MTC thresholds once
-per table it probes. Whatever owns a rate builds its thresholds and hands
-them to the target-SNR search.
+table at each trial's decoded count, at broadband rate r_B. Rate 0 is not
+probed: there every device decodes before the broadband signal, which then
+decodes interference-free, so the lower end of the target-SNR bracket is
+accepted with no error. Whatever owns a rate builds its thresholds and
+hands them to the target-SNR search.
 
 The searches return plain values, as tuples of rates, target SNRs and
 error counts, which the caller formats.
 
-The device-count search needs a table per probed device count. It answers
-all (r_B, mode) points of one antenna count together, so each count is
-built once and only one table is alive at a time; its orthogonal points
-all compare their rates with the table's one orthogonal endpoint. Beside
-it the search holds one draw, that of the widest count probed so far,
-capped at `monte_carlo._HELD_BUDGET` bytes: a device count's draw is a
-column prefix of a larger count's, so a build no wider than the held draw
-reads its held trials instead of drawing them, and only the doubling
-phase, which widens it, draws them anew.
+Both searches answer their points together through one walk (`_walk`):
+the r_B points of a rate search bisect one rate bracket, and the (r_B,
+mode) points of a device-count search one count bracket, so each probe
+is answered once for every point waiting on it. A probed rate gets its
+MTC thresholds, a probed count its table and, its points sharing r_M,
+one set of MTC thresholds, one at a time. Beside the table the
+device-count search holds one draw, that of the widest count probed so
+far, capped at `monte_carlo._HELD_BUDGET` bytes: a device count's draw
+is a column prefix of a larger count's, so a build no wider than the
+held draw reads its held trials instead of drawing them, and only the
+doubling phase, which widens it, draws them anew.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,6 +215,36 @@ def _gamma_search(
     return (hi, at_hi) if at_hi[0] <= mtc_budget else None
 
 
+def _walk(brackets: dict, next_probe: Callable) -> Iterator[Tuple[float, list]]:
+    """Probes of many bisections, each once: while a bracket [lo, hi] of
+    brackets has a next probe, `next_probe(lo, hi)`, yields the least such
+    probe with the keys of every bracket waiting on it. The caller narrows
+    those brackets before asking for the next.
+
+    Every bracket starts at the root of one probe tree, on which each probe
+    has one place, and moves only when its probe is yielded. So, whatever
+    the order of the yields, brackets on one node of the tree wait on its
+    probe together, and each probe is yielded once, to every key that ever
+    probes it.
+    """
+    while True:
+        waiting = {}
+        for key, bracket in brackets.items():
+            probe = next_probe(*bracket)
+            if probe is not None:
+                waiting.setdefault(probe, []).append(key)
+        if not waiting:
+            return
+        probe = min(waiting)
+        yield probe, waiting[probe]
+
+
+def _next_rate(lo: float, hi: float) -> Optional[float]:
+    """Next MTC rate to probe in the bracket (lo feasible, hi not), or None
+    once it is within RATE_TOL."""
+    return 0.5 * (lo + hi) if hi - lo > RATE_TOL else None
+
+
 def max_mmtc_rate_nonorth(
     table: TrialTable, r_B: float, r_M_out: float
 ) -> Tuple[float, float, Optional[Counts]]:
@@ -246,13 +272,10 @@ def nonorthogonal_region(
     largest MTC rate searched on the table below its orthogonal endpoint
     r_M_out, with the rest of `max_mmtc_rate_nonorth`'s result.
 
-    Every point bisects the same rate bracket, so the points walk one tree
-    of rates, on which each rate has one place, and a level of the walk
-    holds each point's next probe. The points are answered together, level
-    by level: the MTC thresholds of each distinct rate of a level are built
-    once and freed before the next rate's, and every point waiting on that
-    rate runs its target-SNR search on them. Each point's probes and result
-    are those of a search on its own.
+    The points bisect one rate bracket through `_walk`: the MTC thresholds
+    of each probed rate are built once, and freed before the next rate's,
+    and every point waiting on that rate runs its target-SNR search on
+    them. Each point's probes and result are those of a search on its own.
     """
     grid = [float(r) for r in r_B_grid]
     if not grid:
@@ -279,22 +302,15 @@ def nonorthogonal_region(
     # error
     rates = {r_B: [0.0, r_M_out + RATE_TOL] for r_B in searches}
     best = {r_B: (gammas[0], (0, 0)) for r_B, gammas in searches.items()}
-    while True:
-        waiting = {}
-        for r_B, (lo, hi) in rates.items():
-            if hi - lo > RATE_TOL:
-                waiting.setdefault(0.5 * (lo + hi), []).append(r_B)
-        if not waiting:
-            break
-        for mid, points in waiting.items():
-            mtc = table.mmtc_thresholds(mid)
-            for r_B in points:
-                found = _gamma_search(table, searches[r_B], r_B, mtc, budget)
-                if found is None:
-                    rates[r_B][1] = mid
-                else:
-                    rates[r_B][0], best[r_B] = mid, found
-            del mtc  # before the next rate's: one set of MTC thresholds alive
+    for mid, points in _walk(rates, _next_rate):
+        mtc = table.mmtc_thresholds(mid)
+        for r_B in points:
+            found = _gamma_search(table, searches[r_B], r_B, mtc, budget)
+            if found is None:
+                rates[r_B][1] = mid
+            else:
+                rates[r_B][0], best[r_B] = mid, found
+        del mtc  # before the next rate's: one set of MTC thresholds alive
     return [
         (r_B, rates[r_B][0], *best[r_B]) if r_B in searches else (r_B, 0.0, op.gamma_tar, None)
         for r_B in grid
@@ -303,9 +319,10 @@ def nonorthogonal_region(
 
 def _next_count(lo: int, hi: Optional[int]) -> Optional[int]:
     """Next device count to probe in the bracket (lo feasible, hi not; hi None
-    while doubling), or None once lo and hi are adjacent."""
+    while doubling), or None once lo and hi are adjacent or doubling would
+    pass M_CAP."""
     if hi is None:
-        return max(1, 2 * lo)
+        return max(1, 2 * lo) if 2 * lo <= M_CAP else None
     return (lo + hi) // 2 if hi - lo > 1 else None
 
 
@@ -326,13 +343,14 @@ def max_devices(
     (`max_mmtc_rate_orth`, below 1024 bits/s/Hz); a broadband rate at or
     past the outage rate leaves no time for MTC and yields 0. Per point,
     doubling from M = 1 brackets the answer, then binary search, assuming
-    feasibility is monotone in the device count.
-    The points share their tables: each probed count gets one table, built
-    with `workers` threads, on which every point probing that count is
-    answered. The table is then dropped, so one table is alive at a time.
-    Beside it one `HeldDraw` is alive: the draw of the widest count probed
-    so far, whose column prefix each narrower count's table is reduced
-    from. Each point's probes and result are those of a search on its own.
+    feasibility is monotone in the device count, up to M_CAP.
+    The points walk one count bracket through `_walk`: each probed count
+    gets one table, built with `workers` threads, on which every point
+    waiting on that count is answered. The table is then dropped, so one
+    table is alive at a time. Beside it one `HeldDraw` is alive: the draw
+    of the widest count probed so far, whose column prefix each narrower
+    count's table is reduced from. Each point's probes and result are
+    those of a search on its own.
     """
     if not r_M > 0:
         raise ValueError(f"r_M must be positive, got {r_M}")
@@ -355,26 +373,15 @@ def max_devices(
         else:
             raise ValueError(f"unknown mode {mode!r}")
 
-    # Every point walks one probe tree (doubling, then bisection), on which
-    # each count has one place. So all the points that ever probe a count are
-    # waiting on it when it is first built, and no count is built twice.
     brackets = {i: [0, None] for i in searches}  # lo feasible, hi not or None
     held = HeldDraw(cfg.seed)  # redrawn only while doubling widens it
-    while True:
-        waiting = {}
-        for i, bracket in brackets.items():
-            m = _next_count(*bracket)
-            if m is not None and m <= M_CAP:
-                waiting.setdefault(m, []).append(i)
-        if not waiting:
-            break
-        m = min(waiting)
+    for m, waiting in _walk(brackets, _next_count):
         table = build_trial_table(replace(cfg, M=m), workers=workers, held=held)
         budget = _error_budget(m * cfg.trials, cfg.eps_M)
         # the orthogonal endpoint and the MTC thresholds at r_M, each shared
         # by the points of its mode
         r_orth = mtc = None
-        for i in waiting[m]:
+        for i in waiting:
             r_M_i, r_B, gammas = searches[i]
             if gammas is None:
                 if r_orth is None:

@@ -16,10 +16,14 @@ from slicesim.embb_analysis import operating_point
 from slicesim.monte_carlo import build_trial_table
 from slicesim.sic_decoder import decode_non_orthogonal, decode_orthogonal
 from slicesim.slicing_search import (
+    M_CAP,
     RATE_TOL,
     _error_budget,
     _gamma_bracket,
     _gamma_search,
+    _next_count,
+    _next_rate,
+    _walk,
     max_devices,
     max_mmtc_rate_nonorth,
     max_mmtc_rate_orth,
@@ -106,6 +110,63 @@ def test_min_feasible_gamma_tar_rejects_rates_before_any_build(monkeypatch):
     for r_B, r_M in ((-1.0, 0.3), (NAN, 0.3), (0.5, -1.0), (0.5, NAN)):
         with pytest.raises(ValueError, match="nonnegative"):
             min_feasible_gamma_tar(make_cfg(), r_B, r_M)
+
+
+def walk_against(thresholds, root, next_probe):
+    """Runs `_walk` over one bracket per key, all starting at root, a probe
+    passing iff it is at most the key's threshold: (probes in yield order,
+    per key its probe sequence, per key its final bracket)."""
+    brackets = {k: list(root) for k in thresholds}
+    yielded, probed = [], {k: [] for k in thresholds}
+    for probe, keys in _walk(brackets, next_probe):
+        yielded.append(probe)
+        for k in keys:
+            probed[k].append(probe)
+            brackets[k][0 if probe <= thresholds[k] else 1] = probe
+    return yielded, probed, brackets
+
+
+def plain_bisection(lo, hi, next_probe, threshold):
+    """The probe sequence and final bracket of one plain bisection."""
+    probed = []
+    while (probe := next_probe(lo, hi)) is not None:
+        probed.append(probe)
+        if probe <= threshold:
+            lo = probe
+        else:
+            hi = probe
+    return probed, [lo, hi]
+
+
+def assert_walk_is_solo_bisections(thresholds, root, next_probe):
+    yielded, probed, brackets = walk_against(thresholds, root, next_probe)
+    assert len(yielded) == len(set(yielded))
+    for k, threshold in thresholds.items():
+        _, alone, _ = walk_against({k: threshold}, root, next_probe)
+        assert probed[k] == alone[k]
+        assert (probed[k], brackets[k]) == plain_bisection(*root, next_probe, threshold)
+    return brackets
+
+
+class TestWalk:
+    """`_walk` yields each probe once, and gives every key the probes and
+    result of its bisection alone."""
+
+    @given(st.lists(st.integers(0, 2 * M_CAP), min_size=1, max_size=12))
+    def test_count_tree(self, thresholds):
+        brackets = assert_walk_is_solo_bisections(
+            dict(enumerate(thresholds)), (0, None), _next_count)
+        for k, threshold in enumerate(thresholds):
+            assert brackets[k][0] == min(threshold, M_CAP)  # M_CAP is a power of two
+
+    @given(st.floats(0.0, 20.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_rate_tree(self, r_M_out, fractions):
+        root = (0.0, r_M_out + RATE_TOL)
+        thresholds = {k: f * root[1] for k, f in enumerate(fractions)}
+        brackets = assert_walk_is_solo_bisections(thresholds, root, _next_rate)
+        for k, (lo, hi) in brackets.items():
+            assert lo <= thresholds[k] and hi - lo <= RATE_TOL
 
 
 class TestMaxMmtcRateOrth:
@@ -454,6 +515,15 @@ class TestMaxDevices:
 
     def test_empty_points(self):
         assert max_devices(make_cfg(trials=500), 0.25, []) == []
+
+    def test_doubling_stops_at_the_cap(self, monkeypatch):
+        # _next_count reads M_CAP when it is called, and owns the cap
+        import slicesim.slicing_search as search
+
+        monkeypatch.setattr(search, "M_CAP", 8)
+        cfg = make_cfg(L=8, trials=200, seed=1)
+        with pytest.warns(UserWarning, match="device search hit the cap M = 8"):
+            assert max_devices(cfg, 0.05, [(0.0, "orth"), (0.0, "nonorth")]) == [8, 8]
 
     @pytest.mark.parametrize("L", [1, 4, 8])
     def test_matches_search_point_by_point(self, L, monkeypatch, count_events):
